@@ -15,9 +15,8 @@ produce results (DESIGN.md, "three-oracle strategy"):
   compared exactly in CI.
 """
 
-from .fuzz import (FuzzCase, build_case, fuzz_batch, fuzz_range,
-                   generate_case, generate_spmm_case, run_batch_group,
-                   run_case, run_single, shrink_case, vary_case)
+from .fuzz import (FuzzCase, build_case, fuzz_range, generate_case,
+                   generate_spmm_case, run_case, shrink_case)
 from .golden import (build_record, compare_golden, default_golden_dir,
                      golden_traces, update_golden)
 from .protocol import (ProtocolChecker, Violation, check_timed,
@@ -35,14 +34,11 @@ __all__ = [
     "check_trace",
     "compare_golden",
     "default_golden_dir",
-    "fuzz_batch",
     "fuzz_range",
     "generate_case",
     "generate_spmm_case",
     "golden_traces",
-    "run_batch_group",
     "run_case",
-    "run_single",
     "shrink_case",
     "summarize",
     "update_golden",

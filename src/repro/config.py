@@ -76,35 +76,6 @@ def resolve_planner(explicit: Optional[str] = None) -> str:
     return name
 
 
-#: Environment variable selecting cross-job batched execution.
-BATCH_ENV = "PSYNCPIM_BATCH"
-
-#: Batch modes for sweeps and fuzzing: ``jobs`` stacks same-template jobs
-#: into one jobs x banks engine launch; ``off`` runs jobs one at a time.
-BATCH_CHOICES = ("jobs", "off")
-
-#: Batch mode used when neither the caller nor the environment chooses one.
-#: Off by default: batching is an opt-in throughput tier, and the per-job
-#: path remains the semantics-defining baseline it is compared against.
-DEFAULT_BATCH = "off"
-
-
-def resolve_batch(explicit: Optional[str] = None) -> str:
-    """Resolve the cross-job batch mode: explicit arg > env var > default.
-
-    Mirrors :func:`resolve_engine` for the jobs dimension (sweep runner,
-    ISA fuzzer). Unknown names raise :class:`ConfigError` so typos fail
-    loudly instead of silently running the other execution path.
-    """
-    name = explicit if explicit is not None \
-        else os.environ.get(BATCH_ENV, DEFAULT_BATCH)
-    name = name.strip().lower()
-    if name not in BATCH_CHOICES:
-        raise ConfigError(f"unknown batch mode {name!r}; expected one of "
-                          f"{list(BATCH_CHOICES)}")
-    return name
-
-
 #: Environment variable selecting the partitioning strategy.
 STRATEGY_ENV = "PSYNCPIM_STRATEGY"
 
@@ -298,27 +269,15 @@ class HBM2Config:
     column_bytes: int = 16
     num_stacks: int = 8
     num_pseudo_channels: int = 16
-    #: Address-bit order, most-significant first (Table VII, rank is 0 bit).
-    address_mapping: str = "rorabgbachco"
     clock_hz: float = 1e9
     external_bandwidth: float = 256e9   # bytes/s to the host
     internal_bandwidth: float = 2e12    # bytes/s aggregated over banks
     capacity_bytes: int = 4 << 30
-    #: Pseudo-channels sharing one physical channel's CA bus (HBM2 splits
-    #: each 128-bit channel into two 64-bit pseudo-channels). Address
-    #: mappings with an explicit ``pc`` token size their ``ch`` field by
-    #: :attr:`num_physical_channels` and ``pc`` by this.
-    pseudo_channels_per_channel: int = 2
 
     @property
     def banks_per_channel(self) -> int:
         """Banks addressable by one pseudo-channel command (4 groups x 4)."""
         return self.num_bankgroups * self.banks_per_group
-
-    @property
-    def num_physical_channels(self) -> int:
-        """Physical channels: pseudo-channels / pseudo-channels-per-channel."""
-        return self.num_pseudo_channels // self.pseudo_channels_per_channel
 
     @property
     def total_banks(self) -> int:
@@ -339,14 +298,9 @@ class HBM2Config:
         """Check internal consistency; raise :class:`ConfigError` otherwise."""
         for name in ("num_bankgroups", "banks_per_group", "num_rows",
                      "num_columns", "column_bytes", "num_stacks",
-                     "num_pseudo_channels", "pseudo_channels_per_channel"):
+                     "num_pseudo_channels"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.num_pseudo_channels % self.pseudo_channels_per_channel:
-            raise ConfigError(
-                f"{self.num_pseudo_channels} pseudo-channels do not split "
-                f"into physical channels of "
-                f"{self.pseudo_channels_per_channel}")
         if self.bank_bytes * self.total_banks != self.capacity_bytes:
             raise ConfigError(
                 "capacity mismatch: banks provide "
@@ -497,7 +451,6 @@ def gddr6_aim_system(num_devices: int = 1) -> SystemConfig:
         column_bytes=32,          # 2 KB rows (GDDR6 page size)
         num_stacks=16,            # chips on the card
         num_pseudo_channels=32,   # 2 channels x 16 chips
-        address_mapping="rorabgbachco",
         clock_hz=1e9,
         external_bandwidth=1024e9,
         internal_bandwidth=4e12,

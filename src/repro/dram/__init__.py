@@ -9,7 +9,6 @@ DRAMPower-style energy model.
 from .timing import HBM2_1GHZ, TimingParams
 from .commands import (Command, CommandRun, CommandType, TraceEntry,
                        as_run, expand_trace)
-from .address import AddressMapper, DecodedAddress
 from .bank import BankState
 from .channel import (BANKS_PER_CHANNEL, BANKS_PER_GROUP,
                       GROUPS_PER_CHANNEL, ChannelScheduler)
@@ -19,7 +18,7 @@ from .power import EnergyModel, EnergyParams, EnergyReport
 __all__ = [
     "HBM2_1GHZ", "TimingParams", "Command", "CommandRun", "CommandType",
     "TraceEntry", "as_run", "expand_trace",
-    "AddressMapper", "DecodedAddress", "BankState",
+    "BankState",
     "BANKS_PER_CHANNEL", "BANKS_PER_GROUP", "GROUPS_PER_CHANNEL",
     "ChannelScheduler", "MemoryController", "ScheduleResult",
     "count_commands", "EnergyModel", "EnergyParams", "EnergyReport",

@@ -20,10 +20,6 @@ class FormatError(ReproError):
     """A sparse matrix/vector container or file is malformed."""
 
 
-class AddressError(ReproError):
-    """A physical address cannot be decoded or is out of range."""
-
-
 class TimingError(ReproError):
     """A DRAM command violates protocol state (e.g. RD to a closed row)."""
 

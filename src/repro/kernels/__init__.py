@@ -3,7 +3,7 @@
 from . import programs
 from .base import (MAX_LOOP_COUNT, LaunchStats, broadcast_scalar,
                    groups_for, join_even, launch, passes, read_scalars,
-                   relaunch, split_even, stream_beats)
+                   split_even)
 from .blas1 import (KernelRun, daxpy, dcopy, ddot, dnrm2, dscal, dswap,
                     elementwise, gather, scatter, spaxpy, spdot)
 from .gemv import dgemv, dtrsv
@@ -14,7 +14,7 @@ from .spvspv import spvspv
 __all__ = [
     "programs", "MAX_LOOP_COUNT", "LaunchStats", "broadcast_scalar",
     "groups_for", "join_even", "launch", "passes", "read_scalars",
-    "relaunch", "split_even", "stream_beats",
+    "split_even",
     "KernelRun", "daxpy", "dcopy", "ddot", "dnrm2", "dscal", "dswap",
     "elementwise", "gather", "scatter", "spaxpy", "spdot",
     "dgemv", "dtrsv", "Tile", "TileRoundResult", "empty_tile",

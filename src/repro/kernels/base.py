@@ -68,22 +68,6 @@ def launch(engine: AllBankEngine, program: Program,
                        programs_loaded=1)
 
 
-def relaunch(engine: AllBankEngine, beats: Iterable[Beat]) -> LaunchStats:
-    """Re-run the already-loaded program on a fresh beat stream.
-
-    Queue and register contents survive (streaming kernels resume where
-    they stopped); only control flow is re-armed.
-    """
-    engine.switch_mode(Mode.AB)
-    engine.arm(reset_registers=False)
-    engine.switch_mode(Mode.AB_PIM)
-    consumed = engine.run(beats)
-    engine.switch_mode(Mode.SB)
-    if not engine.all_exited:
-        raise ExecutionError("kernel pass did not terminate")
-    return LaunchStats(beats=consumed, launches=1, mode_switches=3)
-
-
 def broadcast_scalar(engine: AllBankEngine, value: float) -> None:
     """Write *value* into every unit's SRF (AB-mode host broadcast)."""
     if engine.mode is not Mode.AB:
@@ -144,10 +128,3 @@ def join_even(chunks: Sequence[np.ndarray], length: int) -> np.ndarray:
 def groups_for(elements: int, group_size: int) -> int:
     """Beat groups needed to stream *elements* items."""
     return math.ceil(elements / group_size) if elements else 0
-
-
-def stream_beats(region: str, groups: int, start: int = 0,
-                 write: bool = False) -> Iterator[Beat]:
-    """Sequential beat groups over one region."""
-    for g in range(start, start + groups):
-        yield Beat(region, g, write=write)

@@ -392,10 +392,6 @@ class CriticalPath:
     def total_slack(self) -> int:
         return sum(sum(node.slack.values()) for node in self.nodes)
 
-    def critical_nodes(self, top: int = 5) -> List[PathNode]:
-        """The *top* longest steps on the path."""
-        return sorted(self.nodes, key=lambda n: -n.duration)[:top]
-
 
 def critical_path(attribution: Attribution) -> Optional[CriticalPath]:
     """Barrier-accurate path over the attribution's segment groups."""

@@ -39,9 +39,6 @@ class DenseRegister:
         self.data[:] = 0.0
         self.data[:values.size] = values
 
-    def copy_values(self) -> np.ndarray:
-        return self.data.copy()
-
 
 class SparseQueue:
     """One sparse vector queue: FIFO of (row, col, value) triples."""

@@ -54,9 +54,15 @@ CACHE_DIR_ENV = "PSYNCPIM_CACHE_DIR"
 #: channel_execs) and sweep keys a channels component; pre-v5 pickles
 #: lack the new dataclass fields.
 #: v6: sweep keys gained a partitioning-strategy component and a "tune"
-#: artifact kind; HBM2Config grew pseudo_channels_per_channel, which
-#: changes every config-keyed digest via the dataclass field walk.
-CACHE_VERSION = 6
+#: artifact kind; HBM2Config grew a pseudo-channels-per-channel field,
+#: which changes every config-keyed digest via the dataclass field walk.
+#: v7: the jobs x banks batched fuzz mode is gone. Its "fuzz-range"
+#: entries had cached a whole seed block as clean after only the block
+#: leader went through all three oracles, under the same key the per-seed
+#: path reads. HBM2Config also lost its address-mapping string and its
+#: pseudo-channels-per-channel count (both fed only the deleted address
+#: decoder), which changes every config-keyed digest.
+CACHE_VERSION = 7
 
 #: On-disk artifact header: magic, then the SHA-256 of the payload.
 _MAGIC = b"PSPC1\n"

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from repro.check import fuzz
-from repro.check.fuzz import (FuzzCase, build_case, fuzz_range,
-                              generate_case, run_case, shrink_case)
+from repro.check.fuzz import (build_case, fuzz_range, generate_case,
+                              generate_spmm_case, run_case, shrink_case)
 from repro.check.reference import ReferenceEngine
 from repro.errors import CheckError
 from repro.isa import CInstruction, Opcode
@@ -104,9 +104,9 @@ class TestShrinker:
 class TestBugDetection:
     """An injected semantic bug must surface as a CheckError + seed."""
 
-    def _seed_with(self, kind):
+    def _seed_with(self, kind, generator=generate_case):
         for seed in range(200):
-            case = generate_case(seed)
+            case = generator(seed)
             if any(b.kind == kind for b in case.blocks):
                 return seed, case
         raise AssertionError(f"no {kind} block in 200 seeds")
@@ -139,18 +139,22 @@ class TestBugDetection:
         with pytest.raises(CheckError, match="exhausted_mask"):
             run_case(case)
 
-    def test_fuzz_range_reports_and_shrinks(self, monkeypatch):
+    @pytest.mark.parametrize("generator", [generate_case,
+                                           generate_spmm_case],
+                             ids=lambda g: g.__name__)
+    def test_fuzz_range_reports_and_shrinks(self, monkeypatch, generator):
         class Broken(ReferenceEngine):
             def _reduce(self, bank, ins):
                 super()._reduce(bank, ins)
                 bank.srf += 1.0
 
         monkeypatch.setattr(fuzz, "ReferenceEngine", Broken)
-        seed, _ = self._seed_with("dense")
-        failures = fuzz_range(seed, 1, shrink=True)
+        seed, _ = self._seed_with("dense", generator)
+        failures = fuzz_range(seed, 1, shrink=True, generator=generator)
         assert len(failures) == 1
         assert failures[0][0] == seed
-        assert "reproduce" in failures[0][1]
+        assert f"reproduce: repro.check.fuzz.run_case(" \
+               f"{generator.__name__}({seed}))" in failures[0][1]
 
 
 class TestStaticExpansion:
@@ -181,27 +185,3 @@ class TestStaticExpansion:
             snap_s, fuzz._snapshot_production(lane, built)) is None
         assert fuzz._first_diff(
             snap_s, fuzz._snapshot_reference(ref, built)) is None
-
-
-class TestDataSeedCompatibility:
-    """The ``data_seed`` field must not disturb pre-batch behaviour."""
-
-    def test_default_case_has_no_data_seed(self):
-        case = generate_case(42)
-        assert case.data_seed is None
-        assert "vary_case" not in case.reproducer()
-
-    def test_leader_data_equals_explicit_data_seed(self):
-        """data_seed=seed is the documented identity: same data stream."""
-        from repro.check.fuzz import vary_case
-        leader = build_case(generate_case(42))
-        pinned = build_case(vary_case(generate_case(42), 42))
-        for name in leader.dense_data:
-            for a, b in zip(leader.dense_data[name],
-                            pinned.dense_data[name]):
-                assert np.array_equal(a, b)
-
-    def test_fuzz_batch_tier1_prefix_is_green_both_modes(self):
-        from repro.check.fuzz import fuzz_batch
-        assert fuzz_batch(range(0, 32), batch="jobs") == []
-        assert fuzz_batch(range(0, 32), batch="off") == fuzz_range(0, 32)

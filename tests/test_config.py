@@ -149,24 +149,3 @@ class TestPrecisionTables:
         pu = ProcessingUnitConfig()
         for prec, lanes in ALU_LANES.items():
             assert lanes * PRECISION_BYTES[prec] == pu.datapath_bytes
-
-
-class TestPseudoChannelGeometry:
-    def test_default_split(self):
-        cfg = HBM2Config()
-        assert cfg.pseudo_channels_per_channel == 2
-        assert cfg.num_physical_channels == 8
-
-    def test_indivisible_rejected(self):
-        import dataclasses
-        bad = dataclasses.replace(HBM2Config(),
-                                  pseudo_channels_per_channel=3)
-        with pytest.raises(ConfigError):
-            bad.validate()
-
-    def test_nonpositive_rejected(self):
-        import dataclasses
-        bad = dataclasses.replace(HBM2Config(),
-                                  pseudo_channels_per_channel=0)
-        with pytest.raises(ConfigError):
-            bad.validate()

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from repro.config import default_system
 from repro.core import run_spmv
-from repro.errors import ExecutionError
-from repro.formats import generate
+from repro.errors import ConfigError, ExecutionError, FormatError
+from repro.formats import COOMatrix, generate
 from repro.formats.generators import (power_law_graph, stencil_2d,
                                       uniform_random)
 
@@ -151,3 +151,56 @@ class TestExecutionRecord:
         ex3 = run_spmv(m, x, default_system(3)).execution
         assert ex3.num_banks == 3 * ex1.num_banks
         assert ex3.lockstep_elements < ex1.lockstep_elements
+
+
+# ----------------------------------------------------------------------
+# degenerate inputs: a correct result or a typed error, never anything else
+# ----------------------------------------------------------------------
+def _coo(shape, rows, cols, vals):
+    return COOMatrix(shape, np.asarray(rows, dtype=np.int64),
+                     np.asarray(cols, dtype=np.int64),
+                     np.asarray(vals, dtype=np.float64))
+
+
+_DEGENERATE = {
+    "nnz0-5x5": lambda: _coo((5, 5), [], [], []),
+    "0x0": lambda: _coo((0, 0), [], [], []),
+    "1x7": lambda: _coo((1, 7), [0, 0, 0], [0, 3, 6], [1.0, 2.0, 3.0]),
+    "7x1": lambda: _coo((7, 1), [0, 3, 6], [0, 0, 0], [1.0, 2.0, 3.0]),
+    "nan-value": lambda: _coo((4, 4), [0, 1, 2, 3], [0, 1, 2, 0],
+                              [1.0, np.nan, 2.0, 3.0]),
+}
+
+_ONE_ROW = _DEGENERATE["1x7"]
+
+
+def _run(make, channels=None, fidelity="fast", x_len=None):
+    matrix = make()
+    n = matrix.shape[1] if x_len is None else x_len
+    x = np.arange(1, n + 1, dtype=np.float64)
+    y = run_spmv(matrix, x, CFG, fidelity=fidelity, channels=channels).y
+    return y, matrix.matvec(x)
+
+
+@pytest.mark.parametrize("make,kwargs,error", [
+    *[pytest.param(make, {"channels": channels, "fidelity": fidelity},
+                   None, id=f"{name}-{channels}ch-{fidelity}")
+      for name, make in _DEGENERATE.items()
+      for channels in (None, 16)
+      for fidelity in ("fast", "functional")],
+    *[pytest.param(_ONE_ROW, {"channels": channels}, ConfigError,
+                   id=f"channels={channels}")
+      for channels in (0, -1, 17)],
+    pytest.param(lambda: _coo((3, 3), [5], [0], [1.0]), {}, FormatError,
+                 id="row-index-out-of-range"),
+    pytest.param(_ONE_ROW, {"x_len": 6}, ExecutionError,
+                 id="wrong-x-length"),
+])
+def test_degenerate_input(make, kwargs, error):
+    if error is not None:
+        with pytest.raises(error):
+            _run(make, **kwargs)
+        return
+    y, want = _run(make, **kwargs)
+    assert y.shape == want.shape
+    assert np.array_equal(y, want, equal_nan=True)

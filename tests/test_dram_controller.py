@@ -1,64 +1,11 @@
-"""Tests for repro.dram.controller, address mapping and the energy model."""
+"""Tests for repro.dram.controller and the energy model."""
 
 import pytest
 
-from repro.config import HBM2Config
-from repro.dram import (AddressMapper, Command, CommandType, EnergyModel,
+from repro.dram import (Command, CommandType, EnergyModel,
                         EnergyParams, MemoryController, TimingParams,
                         count_commands)
-from repro.errors import AddressError, TimingError
-
-
-class TestAddressMapper:
-    @pytest.fixture
-    def mapper(self):
-        return AddressMapper(HBM2Config())
-
-    def test_covers_cube_capacity(self, mapper):
-        assert mapper.addressable_bytes == HBM2Config().capacity_bytes
-
-    def test_encode_decode_round_trip(self, mapper):
-        for coords in ((0, 0, 0, 0, 0), (3, 2, 1, 100, 63),
-                       (15, 3, 3, 16383, 63), (7, 1, 2, 4097, 31)):
-            ch, bg, ba, row, col = coords
-            addr = mapper.encode(ch, bg, ba, row, col)
-            dec = mapper.decode(addr)
-            assert (dec.channel, dec.bankgroup, dec.bank, dec.row,
-                    dec.column) == coords
-
-    def test_flat_bank_index(self, mapper):
-        dec = mapper.decode(mapper.encode(0, 2, 3, 0, 0))
-        assert dec.flat_bank == 11
-
-    def test_offset_within_column(self, mapper):
-        base = mapper.encode(1, 1, 1, 1, 1)
-        assert mapper.encode(1, 1, 1, 1, 1, offset=8) == base + 8
-
-    def test_address_out_of_range(self, mapper):
-        with pytest.raises(AddressError):
-            mapper.decode(mapper.addressable_bytes)
-        with pytest.raises(AddressError):
-            mapper.decode(-1)
-
-    def test_encode_rejects_bad_fields(self, mapper):
-        with pytest.raises(AddressError):
-            mapper.encode(16, 0, 0, 0, 0)
-        with pytest.raises(AddressError):
-            mapper.encode(0, 0, 0, 0, 64)
-        with pytest.raises(AddressError):
-            mapper.encode(0, 0, 0, 0, 0, offset=16)
-
-    def test_bad_mapping_strings(self):
-        import dataclasses
-        with pytest.raises(AddressError, match="unknown"):
-            AddressMapper(dataclasses.replace(
-                HBM2Config(), address_mapping="zzrorabgbachco"))
-        with pytest.raises(AddressError, match="twice"):
-            AddressMapper(dataclasses.replace(
-                HBM2Config(), address_mapping="roro bgbachco".replace(" ", "")))
-        with pytest.raises(AddressError, match="misses"):
-            AddressMapper(dataclasses.replace(
-                HBM2Config(), address_mapping="robgba"))
+from repro.errors import TimingError
 
 
 def _row_trace(kind_act, kind_col, kind_pre, banks, reads=4, channel=0):

@@ -58,19 +58,20 @@ class TestStableDigest:
 
 
 class TestCacheVersion:
-    """The strategy PR bumped the artifact layout version (v5 -> v6)."""
+    """Removing batched fuzzing bumped the artifact layout (v6 -> v7)."""
 
-    def test_version_is_six(self):
+    def test_version_is_seven(self):
         from repro.sweep.cache import CACHE_VERSION
-        assert CACHE_VERSION == 6
+        assert CACHE_VERSION == 7
 
     def test_version_participates_in_every_digest(self, monkeypatch):
-        # Pre-v6 artifacts (keyed under CACHE_VERSION=5, before sweep keys
-        # carried a strategy component) must never be served: the version
-        # is folded into stable_digest, so bumping it rotates every key.
+        # Pre-v7 artifacts (keyed under CACHE_VERSION=6, when a batched
+        # sweep could cache a fuzz block as clean after checking only its
+        # leader) must never be served: the version is folded into
+        # stable_digest, so bumping it rotates every key.
         from repro.sweep import cache as cache_mod
         current = cache_mod.stable_digest("spmv-plan", MATRIX)
-        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 5)
+        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 6)
         previous = cache_mod.stable_digest("spmv-plan", MATRIX)
         assert current != previous
 
@@ -78,10 +79,10 @@ class TestCacheVersion:
                                                   monkeypatch):
         from repro.sweep import cache as cache_mod
         cache = ArtifactCache(tmp_path)
-        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 5)
+        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 6)
         old_key = cache.key("kernel", MATRIX)
         cache.store("plan", old_key, {"stale": True})
-        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 6)
+        monkeypatch.setattr(cache_mod, "CACHE_VERSION", 7)
         new_key = cache.key("kernel", MATRIX)
         assert new_key != old_key
         computed = cache.get_or_compute("plan", new_key,
@@ -397,6 +398,7 @@ class TestSweepCli:
         assert "2 spmv jobs over 2 matrices" in out
         assert f"spmv:{MATRIX}" in out
         assert "misses" in out
+        assert "jobs/s" in out
 
     def test_second_sweep_reports_cache_hits(self, capsys, tmp_path):
         args = ("sweep", "--matrices", MATRIX, "--scale", str(SCALE),
@@ -422,86 +424,3 @@ class TestSweepCli:
         assert code == 0
         assert "sptrsv:poisson3Da/lower" in out
         assert "sptrsv:poisson3Da/upper" in out
-
-    def test_batch_flag_reaches_summary(self, capsys, tmp_path):
-        code, out = self.run_cli(
-            capsys, "sweep", "--matrices", MATRIX, "--scale", str(SCALE),
-            "--workers", "1", "--cache-dir", str(tmp_path),
-            "--batch", "jobs")
-        assert code == 0
-        assert "batch: jobs" in out
-        assert "jobs/s" in out
-
-
-# ----------------------------------------------------------------------
-# batched execution: jobs x banks rounds must be invisible in the output
-# ----------------------------------------------------------------------
-def _listing(root):
-    import os
-    files = []
-    for base, _, names in os.walk(root):
-        for name in names:
-            path = os.path.join(base, name)
-            files.append(os.path.relpath(path, root))
-    return sorted(files)
-
-
-def _assert_results_match(off, batched):
-    assert batched.labels == off.labels
-    for a, b in zip(off.records, batched.records):
-        assert b.error == a.error
-        assert b.report == a.report
-        assert b.extras == a.extras
-        assert (b.cache_hits, b.cache_misses) \
-            == (a.cache_hits, a.cache_misses)
-
-
-class TestBatchSweep:
-    def test_spmv_batch_matches_per_job(self, tmp_path):
-        jobs = [spmv_job(), spmv_job(matrix="wiki-Vote"),
-                spmv_job(num_cubes=3)]
-        off = run_sweep(jobs, workers=1, cache_dir=tmp_path / "off",
-                        batch="off")
-        batched = run_sweep(jobs, workers=1, cache_dir=tmp_path / "jobs",
-                            batch="jobs")
-        assert off.batch == "off" and batched.batch == "jobs"
-        _assert_results_match(off, batched)
-        # identical pipelines populate identical cache entries
-        assert _listing(tmp_path / "jobs") == _listing(tmp_path / "off")
-
-    def test_batch_mode_with_worker_pool(self, tmp_path):
-        jobs = [spmv_job(), spmv_job(matrix="wiki-Vote"),
-                spmv_job(matrix="ca-CondMat")]
-        off = run_sweep(jobs, workers=1, cache_dir=tmp_path / "off")
-        batched = run_sweep(jobs, workers=2, cache_dir=tmp_path / "jobs",
-                            batch="jobs")
-        _assert_results_match(off, batched)
-
-    def test_fuzz_kernel_batch_parity(self, tmp_path):
-        jobs = suite_jobs(kernel="fuzz", scale=SCALE)[:2]
-        off = run_sweep(jobs, workers=1, cache_dir=tmp_path / "off",
-                        batch="off")
-        batched = run_sweep(jobs, workers=1, cache_dir=tmp_path / "jobs",
-                            batch="jobs")
-        _assert_results_match(off, batched)
-        assert _listing(tmp_path / "jobs") == _listing(tmp_path / "off")
-        assert all(record.extras["divergences"] == 0 for record in batched)
-
-    def test_env_knob_selects_batch_mode(self, tmp_path, monkeypatch):
-        from repro.config import BATCH_ENV
-        monkeypatch.setenv(BATCH_ENV, "jobs")
-        result = run_sweep([spmv_job()], workers=1, cache_dir=tmp_path)
-        assert result.batch == "jobs"
-        monkeypatch.setenv(BATCH_ENV, "nonsense")
-        from repro.errors import ConfigError
-        with pytest.raises(ConfigError, match="unknown batch mode"):
-            run_sweep([spmv_job()], workers=1, cache_dir=tmp_path)
-
-    def test_execute_batch_groups_one_engine_round(self, tmp_path):
-        from repro.sweep import execute_batch
-        jobs = [spmv_job(), spmv_job(matrix="wiki-Vote")]
-        records = execute_batch(jobs, cache_dir=tmp_path)
-        assert [record.label for record in records] \
-            == [f"spmv:{MATRIX}", "spmv:wiki-Vote"]
-        solo = execute_job(spmv_job(), cache_dir=tmp_path / "solo")
-        assert records[0].report == solo.report
