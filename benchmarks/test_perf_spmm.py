@@ -33,7 +33,7 @@ import time
 
 from conftest import BENCH_SCALE, RESULTS_DIR, SPMV_MATRICES, bench_matrix
 from repro.config import default_system
-from repro.core import plan_spmv, time_spmm, time_spmv
+from repro.core import plan_spmv, time_spmv
 from repro.core.spmm import as_spmm_execution
 
 #: rhs-block widths swept; 16 spans four fp64 beat-blocks.
@@ -59,7 +59,7 @@ def test_spmm_amortisation_benchmark():
         start = time.perf_counter()
         for name in SPMV_MATRICES:
             widened = as_spmm_execution(executions[name], k)
-            report = time_spmm(widened, config)
+            report = time_spmv(widened, config)
             bench["cycles"][f"{name}_k{k}"] = report.cycles
             total_cycles += report.cycles
             if k == 1:

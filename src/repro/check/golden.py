@@ -20,10 +20,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..config import SystemConfig, default_system
+from ..config import default_system
 from ..core import (dense_stream_trace, price_trace, run_spmm, run_spmv,
-                    run_sptrsv, spmm_ab_trace, spmm_pb_trace,
-                    spmv_ab_trace, spmv_pb_trace, sptrsv_ab_trace)
+                    run_sptrsv, synthesise)
 from ..core.timing import PerfReport
 from ..dram import TraceEntry, as_run
 from ..formats.generators import uniform_random, unit_lower_from
@@ -41,54 +40,37 @@ def default_golden_dir() -> Path:
 # ----------------------------------------------------------------------
 # canonical workloads
 # ----------------------------------------------------------------------
-def _spmv_parts(config: SystemConfig):
-    matrix = uniform_random(48, 48, 0.08, seed=11)
-    x = np.random.default_rng(12).random(48)
-    execution = run_spmv(matrix, x, config, engine_banks=4).execution
-    return matrix, execution
-
-
-def _spmv(mode: str) -> Tuple[List[TraceEntry], PerfReport]:
+def _priced(execution, mode: str = "ab"
+            ) -> Tuple[List[TraceEntry], PerfReport]:
     config = default_system()
-    matrix, execution = _spmv_parts(config)
-    trace = (spmv_ab_trace if mode == "ab"
-             else spmv_pb_trace)(execution, config)
+    trace = synthesise(execution, config, mode=mode).trace
     report = price_trace(trace, config, with_energy=True,
-                         alu_operations=2 * matrix.nnz,
+                         alu_operations=execution.alu_operations,
                          precision=execution.precision)
     return trace, report
 
 
-def _spmm_parts(config: SystemConfig):
+def _spmv(mode: str) -> Tuple[List[TraceEntry], PerfReport]:
+    matrix = uniform_random(48, 48, 0.08, seed=11)
+    x = np.random.default_rng(12).random(48)
+    return _priced(run_spmv(matrix, x, default_system(),
+                            engine_banks=4).execution, mode)
+
+
+def _spmm(mode: str) -> Tuple[List[TraceEntry], PerfReport]:
     # The SpMV golden matrix with a 4-column dense rhs block: the plan
     # (and at k=1 the whole trace) is shared with the spmv workloads.
     matrix = uniform_random(48, 48, 0.08, seed=11)
     x = np.random.default_rng(12).random((48, 4))
-    execution = run_spmm(matrix, x, config, engine_banks=4).execution
-    return matrix, execution
-
-
-def _spmm(mode: str) -> Tuple[List[TraceEntry], PerfReport]:
-    config = default_system()
-    matrix, execution = _spmm_parts(config)
-    trace = (spmm_ab_trace if mode == "ab"
-             else spmm_pb_trace)(execution, config)
-    report = price_trace(trace, config, with_energy=True,
-                         alu_operations=2 * matrix.nnz * execution.num_rhs,
-                         precision=execution.precision)
-    return trace, report
+    return _priced(run_spmm(matrix, x, default_system(),
+                            engine_banks=4).execution, mode)
 
 
 def _sptrsv() -> Tuple[List[TraceEntry], PerfReport]:
-    config = default_system()
     tri = unit_lower_from(uniform_random(40, 40, 0.06, seed=7), seed=8)
     b = np.random.default_rng(9).random(40)
-    execution = run_sptrsv(tri, b, config, engine_banks=4).execution
-    trace = sptrsv_ab_trace(execution, config)
-    report = price_trace(trace, config, with_energy=True,
-                         alu_operations=2 * execution.total_elements,
-                         precision=execution.precision)
-    return trace, report
+    return _priced(run_sptrsv(tri, b, default_system(),
+                              engine_banks=4).execution)
 
 
 def _dense_stream() -> Tuple[List[TraceEntry], PerfReport]:

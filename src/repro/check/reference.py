@@ -75,7 +75,9 @@ def _fold(op, values: np.ndarray, seed: float) -> float:
     if name == "ADD":
         return seed + float(np.sum(values))
     if name == "MUL":
-        return seed * float(np.prod(values))
+        # IEEE overflow to inf is the modelled behaviour, not a fault
+        with np.errstate(over="ignore"):
+            return seed * float(np.prod(values))
     if name == "MIN":
         return min(seed, float(np.min(values)))
     if name == "MAX":

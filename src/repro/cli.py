@@ -45,7 +45,7 @@ from . import __version__, obs
 from .analysis import format_table, table_x_model, unit_area
 from .baselines import GPUModel, SpaceAModel
 from .config import STRATEGY_CHOICES, default_system
-from .core import PSyncPIM, time_spmm, time_spmv
+from .core import PSyncPIM, as_spmm_execution, time_spmv
 from .dram import TimingParams
 from .errors import ReproError
 from .formats import (generate, matrix_spec, read_matrix_market,
@@ -425,7 +425,7 @@ def _cmd_spmv(args) -> int:
             attribution, perf, label=f"spmv/{args.matrix}", kind="spmv",
             matrix=args.matrix, mode="ab", channels=ex.num_channels,
             strategy=args.strategy or "", precision=args.precision,
-            config=pim.config, alu_operations=2 * ex.total_elements)
+            config=pim.config, alu_operations=ex.alu_operations)
         print()
         print(obs.render_report(report))
     return 0
@@ -446,9 +446,10 @@ def _cmd_spmm(args) -> int:
     for j in range(num_rhs):
         assert np.allclose(result.y[:, j], matrix.matvec(x[:, j]))
     ex = result.execution
-    ab = pim.time_spmm(result, with_energy=True)
-    pb = time_spmm(ex, pim.config, mode="pb")
-    spmv_cycles = time_spmv(ex, pim.config, mode="ab").cycles
+    ab = pim.time_spmv(result, with_energy=True)
+    pb = time_spmv(ex, pim.config, mode="pb")
+    spmv_cycles = time_spmv(as_spmm_execution(ex, 1), pim.config,
+                            mode="ab").cycles
     print(format_table(["metric", "value"], [
         ["matrix", f"{matrix.shape[0]}x{matrix.shape[1]}, "
                    f"nnz={matrix.nnz}"],
@@ -466,13 +467,12 @@ def _cmd_spmm(args) -> int:
         ["energy", f"{ab.energy.total_joules * 1e6:.1f} uJ"],
     ], title=f"SpMM on pSyncPIM ({args.precision}, k={num_rhs})"))
     if want_attrib:
-        attribution, perf = obs.attribute_spmm(ex, pim.config, mode="ab")
+        attribution, perf = obs.attribute_spmv(ex, pim.config, mode="ab")
         report = obs.build_run_report(
             attribution, perf, label=f"spmm/{args.matrix}", kind="spmm",
             matrix=args.matrix, mode="ab", channels=ex.num_channels,
             strategy=args.strategy or "", precision=args.precision,
-            config=pim.config,
-            alu_operations=2 * ex.total_elements * num_rhs)
+            config=pim.config, alu_operations=ex.alu_operations)
         print()
         print(obs.render_report(report))
     return 0
@@ -502,7 +502,7 @@ def _cmd_sptrsv(args) -> int:
                 label=f"sptrsv/{args.matrix}/{label}", kind="sptrsv",
                 matrix=args.matrix, channels=ex.num_channels,
                 strategy=args.strategy or "", config=pim.config,
-                alu_operations=2 * ex.total_elements))
+                alu_operations=ex.alu_operations))
     print(format_table(["factor", "nnz", "levels", "time (us)",
                         "residual"], rows,
                        title="SpTRSV via ILDU on pSyncPIM"))
@@ -641,7 +641,7 @@ def _build_attrib_reports(args) -> dict:
             mode=args.mode if kind == "spmv" else "ab",
             channels=channels, strategy=strategy,
             precision=args.precision, config=config,
-            alu_operations=2 * execution.total_elements)
+            alu_operations=execution.alu_operations)
     return reports
 
 

@@ -18,11 +18,9 @@ from .sptrsv import (ILDUFactors, SpTrsvExecution, SpTrsvResult, ildu,
                      level_schedule, recursive_plan, reorder_by_levels,
                      run_sptrsv, solve_unit_triangular_reference)
 from .trace import (TraceParams, dense_stream_trace, rhs_block_width,
-                    spmm_ab_trace, spmm_channels_trace, spmm_pb_trace,
-                    spmv_ab_trace, spmv_channels_trace, spmv_pb_trace,
-                    sptrsv_ab_trace, sptrsv_channels_trace)
-from .timing import (PerfReport, price_trace, time_dense_kernel, time_spmm,
-                     time_spmv, time_sptrsv)
+                    spmv_channels_trace, sptrsv_channels_trace, synthesise)
+from .timing import (PerfReport, price_trace, time_dense_kernel, time_spmv,
+                     time_sptrsv)
 from .runtime import PSyncPIM
 
 __all__ = [
@@ -38,9 +36,7 @@ __all__ = [
     "SpTrsvExecution", "SpTrsvResult", "ildu", "level_schedule",
     "recursive_plan", "reorder_by_levels", "run_sptrsv",
     "solve_unit_triangular_reference", "TraceParams",
-    "dense_stream_trace", "rhs_block_width", "spmm_ab_trace",
-    "spmm_channels_trace", "spmm_pb_trace", "spmv_ab_trace",
-    "spmv_channels_trace", "spmv_pb_trace", "sptrsv_ab_trace",
-    "sptrsv_channels_trace", "PerfReport", "price_trace",
-    "time_dense_kernel", "time_spmm", "time_spmv", "time_sptrsv",
+    "dense_stream_trace", "rhs_block_width", "spmv_channels_trace",
+    "sptrsv_channels_trace", "synthesise", "PerfReport", "price_trace",
+    "time_dense_kernel", "time_spmv", "time_sptrsv",
 ]

@@ -16,7 +16,7 @@ vectorised numpy (see DESIGN.md §5 on the two tiers).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -26,8 +26,7 @@ from ..formats import COOMatrix
 from .spmm import SpmmResult, run_spmm
 from .spmv import SpmvResult, run_spmv
 from .sptrsv import ILDUFactors, SpTrsvResult, ildu, run_sptrsv
-from .timing import (PerfReport, time_dense_kernel, time_spmm, time_spmv,
-                     time_sptrsv)
+from .timing import PerfReport, time_dense_kernel, time_spmv, time_sptrsv
 from .trace import TraceParams
 
 
@@ -122,16 +121,12 @@ class PSyncPIM:
     # ------------------------------------------------------------------
     # performance modelling
     # ------------------------------------------------------------------
-    def time_spmv(self, result: SpmvResult, mode: str = "ab",
+    def time_spmv(self, result: Union[SpmvResult, SpmmResult],
+                  mode: str = "ab",
                   with_energy: bool = False) -> PerfReport:
-        """Price an executed SpMV in all-bank or per-bank mode."""
+        """Price an executed SpMV (or SpMM) in all-bank or per-bank
+        mode."""
         return time_spmv(result.execution, self.config, mode=mode,
-                         params=self.trace_params, with_energy=with_energy)
-
-    def time_spmm(self, result: SpmmResult, mode: str = "ab",
-                  with_energy: bool = False) -> PerfReport:
-        """Price an executed SpMM in all-bank or per-bank mode."""
-        return time_spmm(result.execution, self.config, mode=mode,
                          params=self.trace_params, with_energy=with_energy)
 
     def time_sptrsv(self, result: SpTrsvResult,

@@ -8,7 +8,7 @@ every round shape are bitwise those of the single-vector kernel. What
 changes is amortisation: the program load and the resident matrix stream
 are paid once per round while the input/output staging and the
 gather/accumulate work scale with ``num_rhs`` (see
-:func:`repro.core.trace.spmm_ab_segments`).
+:func:`repro.core.trace.synthesise`).
 
 Both fidelities generalise the SpMV tiers column-wise:
 
@@ -46,12 +46,18 @@ class SpmmExecution(SpmvExecution):
     """An SpMV execution record widened to ``num_rhs`` dense columns.
 
     Every inherited field keeps its SpMV meaning (the plan is shared);
-    traffic fields stay *per right-hand side* — the trace synthesisers
-    and :func:`~repro.core.timing.time_spmm` scale staging and compute
+    traffic fields stay *per right-hand side* — the trace synthesiser
+    scales staging and gathers, and :attr:`alu_operations` the compute,
     by ``num_rhs`` where the hardware does.
     """
 
     num_rhs: int = 1
+
+    @property
+    def alu_operations(self) -> int:
+        """One multiply + one accumulate per element per right-hand
+        side."""
+        return 2 * self.total_elements * self.num_rhs
 
 
 @dataclass

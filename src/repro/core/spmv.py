@@ -84,6 +84,11 @@ class SpmvExecution:
     def total_elements(self) -> int:
         return int(self.per_bank_elements.sum())
 
+    @property
+    def alu_operations(self) -> int:
+        """One multiply + one accumulate per element."""
+        return 2 * self.total_elements
+
 
 #: A bank layout: whole-device :class:`Assignment` (legacy model) or a
 #: per-channel sharded :class:`ChannelAssignment`.

@@ -348,6 +348,11 @@ class SpTrsvExecution:
     def total_elements(self) -> int:
         return int(sum(self.level_elements) + sum(self.update_elements))
 
+    @property
+    def alu_operations(self) -> int:
+        """One multiply + one accumulate per element."""
+        return 2 * self.total_elements
+
 
 @dataclass
 class SpTrsvResult:

@@ -13,14 +13,10 @@ from typing import Dict, List, Optional
 from ..config import SystemConfig
 from ..dram import (CommandType, EnergyReport, MemoryController,
                     TimingParams, TraceEntry, as_run)
-from ..errors import ExecutionError
 from .. import obs
 from .spmv import SpmvExecution
 from .sptrsv import SpTrsvExecution
-from .trace import (TraceParams, dense_stream_trace, spmm_ab_trace,
-                    spmm_channels_trace, spmm_pb_trace, spmv_ab_trace,
-                    spmv_channels_trace, spmv_pb_trace, sptrsv_ab_trace,
-                    sptrsv_channels_trace)
+from .trace import TraceParams, dense_stream_trace, synthesise
 
 #: Tags marking host-side (external interface) column traffic.
 HOST_TAGS = frozenset({"stage_x", "merge_y", "read_b", "broadcast"})
@@ -120,46 +116,15 @@ def price_trace(trace: List[TraceEntry], config: SystemConfig,
 def time_spmv(execution: SpmvExecution, config: SystemConfig,
               mode: str = "ab", params: TraceParams = TraceParams(),
               with_energy: bool = False) -> PerfReport:
-    """Price one SpMV in all-bank (``"ab"``) or per-bank (``"pb"``) mode."""
-    if mode not in ("ab", "pb"):
-        raise ExecutionError(f"unknown PIM mode {mode!r}")
-    if execution.num_channels is not None:
-        trace = spmv_channels_trace(execution, config, params, mode=mode)
-    elif mode == "ab":
-        trace = spmv_ab_trace(execution, config, params)
-    else:
-        trace = spmv_pb_trace(execution, config, params)
-    # one multiply + one accumulate per element, on every bank it touches
-    alu_ops = 2 * execution.total_elements
-    return price_trace(trace, config, with_energy=with_energy,
-                       alu_operations=alu_ops,
-                       precision=execution.precision,
-                       channels=execution.num_channels)
+    """Price one SpMV in all-bank (``"ab"``) or per-bank (``"pb"``) mode.
 
-
-def time_spmm(execution: SpmvExecution, config: SystemConfig,
-              mode: str = "ab", params: TraceParams = TraceParams(),
-              with_energy: bool = False) -> PerfReport:
-    """Price one SpMM in all-bank (``"ab"``) or per-bank (``"pb"``) mode.
-
-    The execution record carries the right-hand-side width (an
-    :class:`~repro.core.spmm.SpmmExecution`); with ``num_rhs == 1`` the
-    synthesised trace, and therefore the report, is bitwise
-    :func:`time_spmv`.
+    An :class:`~repro.core.spmm.SpmmExecution` prices the SpMM over its
+    ``num_rhs`` right-hand sides; at ``num_rhs == 1`` the report is
+    bitwise the SpMV one.
     """
-    if mode not in ("ab", "pb"):
-        raise ExecutionError(f"unknown PIM mode {mode!r}")
-    if execution.num_channels is not None:
-        trace = spmm_channels_trace(execution, config, params, mode=mode)
-    elif mode == "ab":
-        trace = spmm_ab_trace(execution, config, params)
-    else:
-        trace = spmm_pb_trace(execution, config, params)
-    # one multiply + one accumulate per element per right-hand side
-    num_rhs = getattr(execution, "num_rhs", 1)
-    alu_ops = 2 * execution.total_elements * num_rhs
+    trace = synthesise(execution, config, params, mode=mode).trace
     return price_trace(trace, config, with_energy=with_energy,
-                       alu_operations=alu_ops,
+                       alu_operations=execution.alu_operations,
                        precision=execution.precision,
                        channels=execution.num_channels)
 
@@ -168,13 +133,9 @@ def time_sptrsv(execution: SpTrsvExecution, config: SystemConfig,
                 params: TraceParams = TraceParams(),
                 with_energy: bool = False) -> PerfReport:
     """Price one triangular solve (leaf levels + recursive updates)."""
-    if execution.num_channels is not None:
-        trace = sptrsv_channels_trace(execution, config, params)
-    else:
-        trace = sptrsv_ab_trace(execution, config, params)
-    alu_ops = 2 * execution.total_elements
+    trace = synthesise(execution, config, params).trace
     return price_trace(trace, config, with_energy=with_energy,
-                       alu_operations=alu_ops,
+                       alu_operations=execution.alu_operations,
                        precision=execution.precision,
                        channels=execution.num_channels)
 

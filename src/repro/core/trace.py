@@ -1,12 +1,16 @@
 """Command-trace synthesis: execution records -> DRAM command streams.
 
-The functional tier establishes *what* a kernel does; this module expands
-its execution record into the memory-command stream one *representative
-pseudo-channel* sees, which the :mod:`repro.dram` scheduler then prices
-under full JEDEC timing. One channel suffices because pSyncPIM drives all
-channels with symmetric broadcast streams — total time is the max over
-channels and the workload is laid out channel-symmetrically; host staging
-traffic is divided by the channel count for the same reason.
+The functional tier establishes *what* a kernel does; :func:`synthesise`
+expands its execution record into a memory-command stream, which the
+:mod:`repro.dram` scheduler then prices under full JEDEC timing. It is
+the one entry point: it alone picks the schedule for an SpTRSV or an
+SpMV-family record (SpMV is SpMM with one right-hand side), for all-bank
+or per-bank mode, and for the representative-channel or channel-sharded
+model. The representative model synthesises the stream one pseudo-channel
+sees; one channel suffices because pSyncPIM drives all channels with
+symmetric broadcast streams — total time is the max over channels and the
+workload is laid out channel-symmetrically; host staging traffic is
+divided by the channel count for the same reason.
 
 Layout conventions (documented, not load-bearing for functional results):
 matrix streams occupy rows from 0 upward, the staged input segment lives in
@@ -23,11 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Optional
+from typing import Iterator, List, NamedTuple, Optional, Union
 
 from ..config import SystemConfig, element_size
 from ..dram import Command, CommandRun, CommandType, TraceEntry
-from ..errors import MappingError
+from ..errors import ExecutionError, MappingError
 from .spmv import SpmvExecution, element_bytes
 from .sptrsv import SpTrsvExecution
 
@@ -290,160 +294,7 @@ def _kernel_batches(batches: int, batch_elems: int, eb: float,
 
 
 # ----------------------------------------------------------------------
-# SpMV traces
-# ----------------------------------------------------------------------
-def spmv_ab_segments(execution: SpmvExecution, config: SystemConfig,
-                     params: TraceParams = TraceParams(),
-                     channel: int = 0,
-                     banks: Optional[int] = None,
-                     prefix: str = "") -> SegmentedTrace:
-    """All-bank SpMV schedule with its per-round phase segments.
-
-    Per round: ``r<N>.stage`` (SB host staging), ``r<N>.seam`` (mode
-    switches + kernel programming), ``r<N>.kernel`` (the AB-PIM phase)
-    and ``r<N>.merge`` (the exit switch + host merge). *prefix* namespaces
-    the labels when the SpMV is embedded in a larger schedule (SpTRSV
-    updates).
-    """
-    banks = banks if banks is not None else execution.banks_per_channel
-    vb = element_size(execution.precision)
-    eb = execution.stream_bytes_per_element
-    rf_batch = _queue_batch(execution.precision, params.subqueue_bytes)
-    out = _SegmentBuilder()
-    for r, round_elems in enumerate(execution.round_batches):
-        # host stages this round's input segments (SB mode, external bus)
-        out.add(f"{prefix}r{r}.stage", channel,
-                host_stage(execution.round_x_lengths[r] * vb, write=True,
-                           row=INPUT_ROW, tag="stage_x", channel=channel,
-                           banks=banks))
-        # SB -> AB: program; AB -> AB-PIM: execute
-        out.add(f"{prefix}r{r}.seam", channel,
-                mode_switch(channel) + program_load(params, channel=channel)
-                + mode_switch(channel))
-        phase = rf_batch * params.queue_phases
-        batches = max(1, math.ceil(round_elems / phase))
-        out.add(f"{prefix}r{r}.kernel", channel,
-                _kernel_batches(batches, phase, eb, params,
-                                all_bank=True,
-                                y_bytes=execution.round_y_lengths[r] * vb,
-                                channel=channel))
-        # AB-PIM -> SB, then the host merges the round's output partials
-        out.add(f"{prefix}r{r}.merge", channel,
-                mode_switch(channel)
-                + host_stage(execution.round_y_lengths[r] * vb, write=False,
-                             row=OUTPUT_ROW, tag="merge_y", channel=channel,
-                             banks=banks))
-    return out.done()
-
-
-def spmv_ab_trace(execution: SpmvExecution, config: SystemConfig,
-                  params: TraceParams = TraceParams(),
-                  channel: int = 0,
-                  banks: Optional[int] = None) -> List[TraceEntry]:
-    """All-bank pSyncPIM schedule of one SpMV on one channel.
-
-    *channel* stamps every command so channel-sharded executions can
-    concatenate per-channel streams into one trace; the default 0 is the
-    representative-channel model. *banks* (the channel width the host
-    staging fans over) defaults to the execution record's
-    ``banks_per_channel``.
-    """
-    return spmv_ab_segments(execution, config, params, channel=channel,
-                            banks=banks).trace
-
-
-def spmv_pb_segments(execution: SpmvExecution, config: SystemConfig,
-                     params: TraceParams = TraceParams(),
-                     channel: int = 0,
-                     banks: Optional[int] = None,
-                     prefix: str = "") -> SegmentedTrace:
-    """Per-bank SpMV schedule with per-round phase segments.
-
-    The kernel segment covers every bank's single-bank arm (each bank's
-    mode switch + stream); stage/merge match the AB labels so the two
-    modes diff phase-by-phase.
-    """
-    banks = banks if banks is not None else execution.banks_per_channel
-    vb = element_size(execution.precision)
-    eb = execution.stream_bytes_per_element
-    rf_batch = _queue_batch(execution.precision, params.subqueue_bytes)
-    per_bank = _representative_channel_loads(execution, banks)
-    rounds = max(1, execution.num_rounds)
-    out = _SegmentBuilder()
-    for r in range(rounds):
-        out.add(f"{prefix}r{r}.stage", channel,
-                host_stage(execution.round_x_lengths[r] * vb, write=True,
-                           row=INPUT_ROW, tag="stage_x", channel=channel,
-                           banks=banks))
-        arms: List[TraceEntry] = []
-        for bank, elements in enumerate(per_bank):
-            share = elements / rounds
-            if share <= 0:
-                continue
-            arms += mode_switch(channel)  # per-bank kernel arm
-            phase = rf_batch * params.queue_phases
-            batches = max(1, math.ceil(share / phase))
-            arms += _kernel_batches(
-                batches, phase, eb, params, all_bank=False, bank=bank,
-                y_bytes=execution.round_y_lengths[r] * vb, channel=channel)
-        out.add(f"{prefix}r{r}.kernel", channel, arms)
-        out.add(f"{prefix}r{r}.merge", channel,
-                mode_switch(channel)
-                + host_stage(execution.round_y_lengths[r] * vb, write=False,
-                             row=OUTPUT_ROW, tag="merge_y", channel=channel,
-                             banks=banks))
-    return out.done()
-
-
-def spmv_pb_trace(execution: SpmvExecution, config: SystemConfig,
-                  params: TraceParams = TraceParams(),
-                  channel: int = 0,
-                  banks: Optional[int] = None) -> List[TraceEntry]:
-    """Per-bank schedule: the host drives each bank's kernel separately.
-
-    Staging traffic is identical to AB mode; the kernel phase is replayed
-    per bank with single-bank commands, each bank streaming only its own
-    elements (no lock-step padding — PB's one advantage). *banks*
-    defaults to the execution record's ``banks_per_channel``.
-    """
-    return spmv_pb_segments(execution, config, params, channel=channel,
-                            banks=banks).trace
-
-
-def spmv_channels_trace(execution: SpmvExecution, config: SystemConfig,
-                        params: TraceParams = TraceParams(),
-                        mode: str = "ab") -> List[TraceEntry]:
-    """Concatenated per-channel streams of a channel-sharded SpMV.
-
-    Each shard's sub-execution is synthesised with its channel id stamped
-    on every command; the scheduler routes them to independent per-channel
-    clocks, so total time is the max over channels, not the sum. Shards
-    with no elements emit nothing (an idle channel issues no commands).
-    """
-    return spmv_channels_segments(execution, config, params,
-                                  mode=mode).trace
-
-
-def spmv_channels_segments(execution: SpmvExecution, config: SystemConfig,
-                           params: TraceParams = TraceParams(),
-                           mode: str = "ab") -> SegmentedTrace:
-    """Segmented form of :func:`spmv_channels_trace` (same trace)."""
-    if not execution.channel_execs:
-        raise MappingError(
-            "spmv_channels_trace needs a channel-sharded execution "
-            "(plan_spmv(..., channels=C))")
-    synth = spmv_ab_segments if mode == "ab" else spmv_pb_segments
-    out = _SegmentBuilder()
-    for ch, sub in enumerate(execution.channel_execs):
-        if sub.total_elements == 0:
-            continue
-        out.splice(synth(sub, config, params, channel=ch,
-                         banks=execution.banks_per_channel))
-    return out.done()
-
-
-# ----------------------------------------------------------------------
-# SpMM traces: one resident plan, k right-hand sides in rhs-blocks
+# SpMV / SpMM schedules: one resident plan, k right-hand sides
 # ----------------------------------------------------------------------
 def rhs_block_width(precision: str) -> int:
     """Dense columns one 32 B output window serves per output word.
@@ -463,25 +314,28 @@ def _rhs_blocks(num_rhs: int, precision: str) -> List[int]:
             for at in range(0, num_rhs, block)]
 
 
-def spmm_ab_segments(execution: SpmvExecution, config: SystemConfig,
-                     params: TraceParams = TraceParams(),
-                     channel: int = 0,
-                     banks: Optional[int] = None,
-                     prefix: str = "") -> SegmentedTrace:
-    """All-bank SpMM schedule with per-round, per-rhs-block segments.
+def _kernel_label(prefix: str, r: int, j: int, num_rhs: int) -> str:
+    """``r<N>.kernel`` for SpMV (k=1), ``r<N>.b<J>.kernel`` per rhs-block
+    otherwise."""
+    if num_rhs == 1:
+        return f"{prefix}r{r}.kernel"
+    return f"{prefix}r{r}.b{j}.kernel"
 
-    Per round: ``r<N>.stage`` stages all ``k`` input columns,
-    ``r<N>.seam`` programs the kernel ONCE (the amortised cost), then
-    one ``r<N>.b<J>.kernel`` segment per rhs-block streams the resident
-    matrix against that block's columns, and ``r<N>.merge`` collects all
-    ``k`` output columns. With ``num_rhs == 1`` this *is*
-    :func:`spmv_ab_segments` — same trace, same labels.
+
+def _spmv_ab_segments(execution: SpmvExecution, params: TraceParams,
+                      channel: int = 0, banks: Optional[int] = None,
+                      prefix: str = "") -> SegmentedTrace:
+    """All-bank SpMV/SpMM schedule of one channel, with phase segments.
+
+    Per round: ``r<N>.stage`` (SB host staging of all ``k`` input
+    columns), ``r<N>.seam`` (mode switches + programming the kernel ONCE,
+    the amortised cost), one kernel segment per rhs-block streaming the
+    resident matrix against that block's columns (the AB-PIM phase), and
+    ``r<N>.merge`` (the exit switch + host merge of all ``k`` output
+    columns). SpMV is the ``k == 1`` case. *prefix* namespaces the labels
+    when the SpMV is embedded in a larger schedule (SpTRSV updates).
     """
     num_rhs = getattr(execution, "num_rhs", 1)
-    if num_rhs == 1:
-        return spmv_ab_segments(execution, config, params,
-                                channel=channel, banks=banks,
-                                prefix=prefix)
     banks = banks if banks is not None else execution.banks_per_channel
     vb = element_size(execution.precision)
     eb = execution.stream_bytes_per_element
@@ -494,14 +348,14 @@ def spmm_ab_segments(execution: SpmvExecution, config: SystemConfig,
                 host_stage(execution.round_x_lengths[r] * vb * num_rhs,
                            write=True, row=INPUT_ROW, tag="stage_x",
                            channel=channel, banks=banks))
-        # SB -> AB: program once; the block loop re-enters AB-PIM freely
+        # SB -> AB: program once; AB -> AB-PIM: execute every block
         out.add(f"{prefix}r{r}.seam", channel,
                 mode_switch(channel) + program_load(params, channel=channel)
                 + mode_switch(channel))
         phase = rf_batch * params.queue_phases
         batches = max(1, math.ceil(round_elems / phase))
         for j, width in enumerate(blocks):
-            out.add(f"{prefix}r{r}.b{j}.kernel", channel,
+            out.add(_kernel_label(prefix, r, j, num_rhs), channel,
                     _kernel_batches(
                         batches, phase, eb, params, all_bank=True,
                         y_bytes=execution.round_y_lengths[r] * vb * width,
@@ -515,31 +369,18 @@ def spmm_ab_segments(execution: SpmvExecution, config: SystemConfig,
     return out.done()
 
 
-def spmm_ab_trace(execution: SpmvExecution, config: SystemConfig,
-                  params: TraceParams = TraceParams(),
-                  channel: int = 0,
-                  banks: Optional[int] = None) -> List[TraceEntry]:
-    """All-bank pSyncPIM schedule of one SpMM on one channel."""
-    return spmm_ab_segments(execution, config, params, channel=channel,
-                            banks=banks).trace
+def _spmv_pb_segments(execution: SpmvExecution, params: TraceParams,
+                      channel: int = 0, banks: Optional[int] = None,
+                      ) -> SegmentedTrace:
+    """Per-bank SpMV/SpMM schedule of one channel, with phase segments.
 
-
-def spmm_pb_segments(execution: SpmvExecution, config: SystemConfig,
-                     params: TraceParams = TraceParams(),
-                     channel: int = 0,
-                     banks: Optional[int] = None,
-                     prefix: str = "") -> SegmentedTrace:
-    """Per-bank SpMM schedule with per-round, per-rhs-block segments.
-
-    Each ``r<N>.b<J>.kernel`` segment replays every bank's single-bank
-    arm against one rhs-block; stage/merge carry all ``k`` columns. With
-    ``num_rhs == 1`` this *is* :func:`spmv_pb_segments`.
+    Staging traffic is identical to AB mode; each kernel segment replays
+    every bank's single-bank arm (mode switch + stream) against one
+    rhs-block, each bank streaming only its own elements (no lock-step
+    padding — PB's one advantage). Stage/merge match the AB labels so the
+    two modes diff phase-by-phase.
     """
     num_rhs = getattr(execution, "num_rhs", 1)
-    if num_rhs == 1:
-        return spmv_pb_segments(execution, config, params,
-                                channel=channel, banks=banks,
-                                prefix=prefix)
     banks = banks if banks is not None else execution.banks_per_channel
     vb = element_size(execution.precision)
     eb = execution.stream_bytes_per_element
@@ -549,7 +390,7 @@ def spmm_pb_segments(execution: SpmvExecution, config: SystemConfig,
     blocks = _rhs_blocks(num_rhs, execution.precision)
     out = _SegmentBuilder()
     for r in range(rounds):
-        out.add(f"{prefix}r{r}.stage", channel,
+        out.add(f"r{r}.stage", channel,
                 host_stage(execution.round_x_lengths[r] * vb * num_rhs,
                            write=True, row=INPUT_ROW, tag="stage_x",
                            channel=channel, banks=banks))
@@ -566,48 +407,13 @@ def spmm_pb_segments(execution: SpmvExecution, config: SystemConfig,
                     batches, phase, eb, params, all_bank=False, bank=bank,
                     y_bytes=execution.round_y_lengths[r] * vb * width,
                     channel=channel, rhs=width)
-            out.add(f"{prefix}r{r}.b{j}.kernel", channel, arms)
-        out.add(f"{prefix}r{r}.merge", channel,
+            out.add(_kernel_label("", r, j, num_rhs), channel, arms)
+        out.add(f"r{r}.merge", channel,
                 mode_switch(channel)
                 + host_stage(execution.round_y_lengths[r] * vb * num_rhs,
                              write=False, row=OUTPUT_ROW, tag="merge_y",
                              channel=channel, banks=banks))
     return out.done()
-
-
-def spmm_pb_trace(execution: SpmvExecution, config: SystemConfig,
-                  params: TraceParams = TraceParams(),
-                  channel: int = 0,
-                  banks: Optional[int] = None) -> List[TraceEntry]:
-    """Per-bank SpMM schedule (each bank streams each rhs-block)."""
-    return spmm_pb_segments(execution, config, params, channel=channel,
-                            banks=banks).trace
-
-
-def spmm_channels_segments(execution: SpmvExecution, config: SystemConfig,
-                           params: TraceParams = TraceParams(),
-                           mode: str = "ab") -> SegmentedTrace:
-    """Segmented per-channel streams of a channel-sharded SpMM."""
-    if not execution.channel_execs:
-        raise MappingError(
-            "spmm_channels_trace needs a channel-sharded execution "
-            "(plan_spmm(..., channels=C))")
-    synth = spmm_ab_segments if mode == "ab" else spmm_pb_segments
-    out = _SegmentBuilder()
-    for ch, sub in enumerate(execution.channel_execs):
-        if sub.total_elements == 0:
-            continue
-        out.splice(synth(sub, config, params, channel=ch,
-                         banks=execution.banks_per_channel))
-    return out.done()
-
-
-def spmm_channels_trace(execution: SpmvExecution, config: SystemConfig,
-                        params: TraceParams = TraceParams(),
-                        mode: str = "ab") -> List[TraceEntry]:
-    """Concatenated per-channel streams of a channel-sharded SpMM."""
-    return spmm_channels_segments(execution, config, params,
-                                  mode=mode).trace
 
 
 def _representative_channel_loads(execution: SpmvExecution,
@@ -640,18 +446,23 @@ def _queue_batch(precision: str, subqueue_bytes: int = 64) -> int:
 
 
 # ----------------------------------------------------------------------
-# SpTRSV trace
+# SpTRSV schedule
 # ----------------------------------------------------------------------
-def sptrsv_ab_segments(execution: SpTrsvExecution, config: SystemConfig,
-                       params: TraceParams = TraceParams(),
-                       channel: int = 0,
-                       host_channels: Optional[int] = None
-                       ) -> SegmentedTrace:
-    """Segmented §VI-C flow: per level ``L<N>.merge`` (SB read of solved
-    values), ``L<N>.broadcast`` (mode switch + broadcast + programming) and
-    ``L<N>.kernel`` (the AB-PIM level kernel with its exit switch); the
-    recursive update SpMVs follow under ``U<K>.r<N>.*`` labels. The level
-    chain is the dependency spine the critical-path analysis walks.
+def _sptrsv_segments(execution: SpTrsvExecution, config: SystemConfig,
+                     params: TraceParams, channel: int = 0,
+                     host_channels: Optional[int] = None
+                     ) -> SegmentedTrace:
+    """Segmented §VI-C flow of one channel: per level ``L<N>.merge`` (SB
+    read of solved values), ``L<N>.broadcast`` (mode switch + broadcast +
+    programming) and ``L<N>.kernel`` (the AB-PIM level kernel with its
+    exit switch); the recursive update SpMVs follow under ``U<K>.r<N>.*``
+    labels. The level chain is the dependency spine the critical-path
+    analysis walks.
+
+    ``host_channels`` is how many channels share the host-side read of the
+    solved values (the external bus serves them concurrently); the
+    representative-channel default assumes every platform channel
+    participates symmetrically.
     """
     vb = element_size(execution.precision)
     eb = element_bytes(execution.precision)
@@ -692,58 +503,83 @@ def sptrsv_ab_segments(execution: SpTrsvExecution, config: SystemConfig,
         out.add(f"L{level}.kernel", channel, kernel)
     # the recursive off-diagonal updates are ordinary SpMVs
     for u, update in enumerate(execution.update_execs):
-        out.splice(spmv_ab_segments(update, config, params, channel=channel,
-                                    prefix=f"U{u}."))
+        out.splice(_spmv_ab_segments(update, params, channel=channel,
+                                     prefix=f"U{u}."))
     return out.done()
 
 
-def sptrsv_ab_trace(execution: SpTrsvExecution, config: SystemConfig,
-                    params: TraceParams = TraceParams(),
-                    channel: int = 0,
-                    host_channels: Optional[int] = None) -> List[TraceEntry]:
-    """The §VI-C flow: per level, SB reads -> broadcast -> AB-PIM kernel.
+# ----------------------------------------------------------------------
+# the one entry point
+# ----------------------------------------------------------------------
+#: Per-channel SpMV-family schedule of each PIM mode.
+_SPMV_MODES = {"ab": _spmv_ab_segments, "pb": _spmv_pb_segments}
 
-    ``host_channels`` is how many channels share the host-side read of the
-    solved values (the external bus serves them concurrently); the
-    representative-channel default assumes every platform channel
-    participates symmetrically.
+
+def synthesise(execution: Union[SpmvExecution, SpTrsvExecution],
+               config: SystemConfig, params: TraceParams = TraceParams(),
+               mode: str = "ab") -> SegmentedTrace:
+    """The command trace (with phase segments) of one execution record.
+
+    The one place that picks a schedule: SpTRSV records get the §VI-C
+    level flow (all-bank only); SpMV-family records — an SpMV is the
+    ``num_rhs == 1`` SpMM — get the all-bank (``"ab"``) or per-bank
+    (``"pb"``) schedule. A representative-channel record
+    (``num_channels is None``) yields one channel-0 stream; a
+    channel-sharded record concatenates its shards' streams, each command
+    stamped with its channel id so the scheduler clocks channels
+    independently (total time is the max, not the sum). Idle SpMV shards
+    emit nothing; every SpTRSV shard walks the level schedule in lock
+    step (the solved values must be broadcast device-wide before the next
+    level), so an idle one still pays each level's broadcast and mode
+    traffic. An unknown *mode* raises :class:`ExecutionError`.
     """
-    return sptrsv_ab_segments(execution, config, params, channel=channel,
-                              host_channels=host_channels).trace
+    out = _SegmentBuilder()
+    if isinstance(execution, SpTrsvExecution):
+        if mode != "ab":
+            raise ExecutionError(
+                f"SpTRSV runs in all-bank mode only, got mode {mode!r}")
+        if execution.num_channels is None:
+            return _sptrsv_segments(execution, config, params)
+        for ch, sub in enumerate(execution.channel_execs):
+            out.splice(_sptrsv_segments(
+                sub, config, params, channel=ch,
+                host_channels=execution.num_channels))
+        return out.done()
+    synth = _SPMV_MODES.get(mode)
+    if synth is None:
+        raise ExecutionError(f"unknown PIM mode {mode!r}")
+    if execution.num_channels is None:
+        return synth(execution, params)
+    for ch, sub in enumerate(execution.channel_execs):
+        if sub.total_elements == 0:
+            continue
+        out.splice(synth(sub, params, channel=ch,
+                         banks=execution.banks_per_channel))
+    return out.done()
+
+
+def spmv_channels_trace(execution: SpmvExecution, config: SystemConfig,
+                        params: TraceParams = TraceParams(),
+                        mode: str = "ab") -> List[TraceEntry]:
+    """Concatenated per-channel streams of a channel-sharded SpMV (or
+    SpMM): :func:`synthesise` restricted to sharded records."""
+    if not execution.channel_execs:
+        raise MappingError(
+            "spmv_channels_trace needs a channel-sharded execution "
+            "(plan_spmv(..., channels=C))")
+    return synthesise(execution, config, params, mode=mode).trace
 
 
 def sptrsv_channels_trace(execution: SpTrsvExecution, config: SystemConfig,
                           params: TraceParams = TraceParams(),
                           ) -> List[TraceEntry]:
-    """Concatenated per-channel streams of a channel-sharded SpTRSV.
-
-    Every channel walks the same level schedule in lock step (the solved
-    values must be broadcast device-wide before the next level — the
-    explicit inter-channel reduction seam), so no shard is skipped: an
-    idle channel still pays the broadcast and mode traffic of each level.
-    """
-    return sptrsv_channels_segments(execution, config, params).trace
-
-
-def sptrsv_channels_segments(execution: SpTrsvExecution,
-                             config: SystemConfig,
-                             params: TraceParams = TraceParams(),
-                             ) -> SegmentedTrace:
-    """Segmented form of :func:`sptrsv_channels_trace` (same trace).
-
-    Every channel emits the same ``L<N>.*`` labels, so each level's
-    per-channel durations line up for barrier-accurate critical-path and
-    slack analysis.
-    """
+    """Concatenated per-channel streams of a channel-sharded SpTRSV:
+    :func:`synthesise` restricted to sharded records."""
     if not execution.channel_execs:
         raise MappingError(
             "sptrsv_channels_trace needs a channel-sharded execution "
             "(run_sptrsv(..., channels=C))")
-    out = _SegmentBuilder()
-    for ch, sub in enumerate(execution.channel_execs):
-        out.splice(sptrsv_ab_segments(sub, config, params, channel=ch,
-                                      host_channels=execution.num_channels))
-    return out.done()
+    return synthesise(execution, config, params).trace
 
 
 # ----------------------------------------------------------------------

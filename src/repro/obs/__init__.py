@@ -157,8 +157,7 @@ def default_dir():
 from . import attrib, report  # noqa: E402
 from .attrib import (ATTRIB_VERSION, CATEGORIES,  # noqa: E402
                      Attribution, AttributionCollector, CriticalPath,
-                     attribute_spmm, attribute_spmv, attribute_sptrsv,
-                     attribute_trace,
+                     attribute_spmv, attribute_sptrsv, attribute_trace,
                      category_of, critical_path, phase_cycles,
                      spmv_useful_loads, sptrsv_useful_loads)
 from .report import (REPORT_VERSION, BundleDiff,  # noqa: E402
@@ -171,8 +170,7 @@ __all__ = [
     "BundleDiff", "CATEGORIES", "CriticalPath", "DiffEntry",
     "MAX_BANK_SERIES", "OBS_DIR_ENV", "OBS_ENV", "Mark", "Recorder",
     "REPORT_VERSION", "RunReport", "SpanEvent",
-    "add_bank_counter", "add_counter", "attribute_spmm",
-    "attribute_spmv", "attribute_sptrsv", "attribute_trace",
+    "add_bank_counter", "add_counter", "attribute_spmv", "attribute_sptrsv", "attribute_trace",
     "build_run_report",
     "category_of", "chrome_trace", "critical_path", "default_dir",
     "default_obs_dir", "diff_reports", "disable", "enable", "enabled",

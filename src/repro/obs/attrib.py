@@ -337,9 +337,9 @@ def _segment_cycles(segments: Sequence, entry_cycles: List[int]
                     ) -> Dict[str, Dict[int, Tuple[int, int]]]:
     """Per-segment (start, end) scheduler cycles from the entry replay.
 
-    Segments must tile each channel's entry stream in order (the
-    ``*_segments`` synthesisers guarantee this), so a segment starts at
-    the channel clock its predecessor left behind.
+    Segments must tile each channel's entry stream in order
+    (:func:`repro.core.trace.synthesise` guarantees this), so a segment
+    starts at the channel clock its predecessor left behind.
     """
     out: Dict[str, Dict[int, Tuple[int, int]]] = {}
     clock: Dict[int, int] = {}
@@ -467,52 +467,23 @@ def attribute_trace(trace, config, segments=None, useful_loads=None,
 
 def attribute_spmv(execution, config, mode: str = "ab", params=None,
                    timing=None, with_energy: bool = False):
-    """Attribute one SpMV execution; returns ``(Attribution, PerfReport)``."""
-    from ..core.trace import (TraceParams, spmv_ab_segments,
-                              spmv_channels_segments, spmv_pb_segments)
-    if params is None:
-        params = TraceParams()
-    if execution.num_channels is not None:
-        seg = spmv_channels_segments(execution, config, params, mode=mode)
-    elif mode == "ab":
-        seg = spmv_ab_segments(execution, config, params)
-    else:
-        seg = spmv_pb_segments(execution, config, params)
-    return attribute_trace(
-        seg.trace, config, segments=seg.segments,
-        useful_loads=spmv_useful_loads(execution, mode), timing=timing,
-        channels=execution.num_channels, precision=execution.precision,
-        alu_operations=2 * execution.total_elements,
-        with_energy=with_energy)
+    """Attribute one SpMV (or SpMM) execution; returns ``(Attribution,
+    PerfReport)``.
 
-
-def attribute_spmm(execution, config, mode: str = "ab", params=None,
-                   timing=None, with_energy: bool = False):
-    """Attribute one SpMM execution; returns ``(Attribution, PerfReport)``.
-
-    The layout is the SpMV layout, so the useful-load split carries over
-    unchanged (both the useful and the lock-step streams scale by the
-    right-hand-side width, leaving the compute/padding ratio intact);
-    ALU work scales by ``num_rhs``. At width 1 the synthesised segments
-    delegate to the SpMV synthesisers, making the attribution bitwise
-    :func:`attribute_spmv`.
+    An SpMM record shares the SpMV layout, so the useful-load split
+    carries over unchanged (both the useful and the lock-step streams
+    scale by the right-hand-side width, leaving the compute/padding ratio
+    intact); ALU work scales by ``num_rhs``.
     """
-    from ..core.trace import (TraceParams, spmm_ab_segments,
-                              spmm_channels_segments, spmm_pb_segments)
-    if params is None:
-        params = TraceParams()
-    if execution.num_channels is not None:
-        seg = spmm_channels_segments(execution, config, params, mode=mode)
-    elif mode == "ab":
-        seg = spmm_ab_segments(execution, config, params)
-    else:
-        seg = spmm_pb_segments(execution, config, params)
-    num_rhs = getattr(execution, "num_rhs", 1)
+    from ..core.trace import TraceParams, synthesise
+    seg = synthesise(execution, config,
+                     params if params is not None else TraceParams(),
+                     mode=mode)
     return attribute_trace(
         seg.trace, config, segments=seg.segments,
         useful_loads=spmv_useful_loads(execution, mode), timing=timing,
         channels=execution.num_channels, precision=execution.precision,
-        alu_operations=2 * execution.total_elements * num_rhs,
+        alu_operations=execution.alu_operations,
         with_energy=with_energy)
 
 
@@ -520,19 +491,14 @@ def attribute_sptrsv(execution, config, params=None, timing=None,
                      with_energy: bool = False):
     """Attribute one SpTRSV execution; returns ``(Attribution,
     PerfReport)``."""
-    from ..core.trace import (TraceParams, sptrsv_ab_segments,
-                              sptrsv_channels_segments)
-    if params is None:
-        params = TraceParams()
-    if execution.num_channels is not None:
-        seg = sptrsv_channels_segments(execution, config, params)
-    else:
-        seg = sptrsv_ab_segments(execution, config, params)
+    from ..core.trace import TraceParams, synthesise
+    seg = synthesise(execution, config,
+                     params if params is not None else TraceParams())
     return attribute_trace(
         seg.trace, config, segments=seg.segments,
         useful_loads=sptrsv_useful_loads(execution), timing=timing,
         channels=execution.num_channels, precision=execution.precision,
-        alu_operations=2 * execution.total_elements,
+        alu_operations=execution.alu_operations,
         with_energy=with_energy)
 
 

@@ -72,7 +72,9 @@ def reduce_array(op: BinaryOp, values: np.ndarray, seed: float) -> float:
         if op is BinaryOp.ADD:
             result = result + float(np.sum(values))
         elif op is BinaryOp.MUL:
-            result = result * float(np.prod(values))
+            # IEEE overflow to inf is the modelled behaviour, not a fault
+            with np.errstate(over="ignore"):
+                result = result * float(np.prod(values))
         elif op is BinaryOp.MIN:
             result = min(result, float(np.min(values)))
         elif op is BinaryOp.MAX:

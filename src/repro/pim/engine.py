@@ -105,11 +105,6 @@ class AllBankEngine:
             unit.load_program(program, reset_registers=reset_registers)
         self.stats.programs_loaded += 1
 
-    def arm(self, reset_registers: bool = False) -> None:
-        """Re-arm all units at PC 0 for another pass of the same program."""
-        for unit in self.units:
-            unit.arm(reset_registers=reset_registers)
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------

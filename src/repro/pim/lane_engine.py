@@ -66,7 +66,9 @@ def _reduce_rows(op: BinaryOp, values: np.ndarray,
     if op is BinaryOp.ADD:
         return seed + values.sum(axis=1)
     if op is BinaryOp.MUL:
-        return seed * values.prod(axis=1)
+        # IEEE overflow to inf is the modelled behaviour, not a fault
+        with np.errstate(over="ignore"):
+            return seed * values.prod(axis=1)
     if op is BinaryOp.MIN:
         # python min(seed, m): keep the seed unless m compares smaller
         # (matters for NaN; np.minimum would propagate it instead).

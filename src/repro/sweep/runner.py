@@ -35,10 +35,7 @@ from ..core.spmm import as_spmm_execution
 from ..core.spmv import plan_spmv
 from ..core.sptrsv import ildu, level_schedule, run_sptrsv
 from ..core.timing import PerfReport, price_trace
-from ..core.trace import (TraceParams, spmm_ab_trace, spmm_channels_trace,
-                          spmm_pb_trace, spmv_ab_trace,
-                          spmv_channels_trace, spmv_pb_trace,
-                          sptrsv_ab_trace, sptrsv_channels_trace)
+from ..core.trace import TraceParams, synthesise
 from ..errors import ExecutionError
 from ..formats import (COOMatrix, generate, matrix_spec,
                        read_matrix_market, suite_names)
@@ -177,6 +174,13 @@ class SweepJob:
 # ----------------------------------------------------------------------
 def _spmv_pipeline(job: SweepJob, cache: ArtifactCache,
                    ) -> Tuple[Optional[PerfReport], Dict[str, Any]]:
+    """The SpMV pipeline; SpMM is its plan widened to ``rhs`` columns.
+
+    The plan/assignment stage shares the ``spmv-plan`` cache entries
+    (the layout is identical, so an SpMV sweep warms an SpMM sweep and
+    vice versa); only the trace/schedule/attrib stages key on the kernel
+    and the right-hand-side width.
+    """
     matrix = job.load_matrix()
     config = job.system()
     params = TraceParams()
@@ -198,23 +202,24 @@ def _spmv_pipeline(job: SweepJob, cache: ArtifactCache,
                                 matrix_format=job.matrix_format,
                                 plan=plan, assignment=assignment,
                                 validate=False, channels=channels)
-
-    trace_key = cache.key("spmv-trace", execution, config, params, job.mode)
-    schedule_key = cache.key("spmv-schedule", trace_key, job.with_energy)
+    if job.kernel == "spmm":
+        num_rhs = resolve_rhs(job.rhs)
+        execution = as_spmm_execution(execution, num_rhs)
+        trace_key = cache.key("spmm-trace", execution, config, params,
+                              job.mode, num_rhs)
+    else:
+        trace_key = cache.key("spmv-trace", execution, config, params,
+                              job.mode)
+    schedule_key = cache.key(f"{job.kernel}-schedule", trace_key,
+                             job.with_energy)
 
     def compute_report() -> PerfReport:
-        if execution.num_channels is not None:
-            def synthesise(execution, config, params):
-                return spmv_channels_trace(execution, config, params,
-                                           mode=job.mode)
-        else:
-            synthesise = (spmv_ab_trace if job.mode == "ab"
-                          else spmv_pb_trace)
         trace = cache.get_or_compute(
             "trace", trace_key,
-            lambda: synthesise(execution, config, params))
+            lambda: synthesise(execution, config, params,
+                               mode=job.mode).trace)
         return price_trace(trace, config, with_energy=job.with_energy,
-                           alu_operations=2 * execution.total_elements,
+                           alu_operations=execution.alu_operations,
                            precision=job.precision,
                            channels=execution.num_channels)
 
@@ -228,6 +233,9 @@ def _spmv_pipeline(job: SweepJob, cache: ArtifactCache,
         "banks_used": execution.banks_used,
         "imbalance": execution.imbalance,
     }
+    if job.kernel == "spmm":
+        extras["rhs"] = num_rhs
+        extras["cycles_per_rhs"] = report.cycles / num_rhs
     if channels is not None:
         extras["channels"] = channels
     if strategy != "paper":
@@ -242,103 +250,13 @@ def _spmv_pipeline(job: SweepJob, cache: ArtifactCache,
                 with_energy=job.with_energy)
             return build_run_report(
                 attribution, perf, label=job.resolved_label(),
-                kind="spmv", matrix=job.matrix, mode=job.mode,
+                kind=job.kernel, matrix=job.matrix, mode=job.mode,
                 channels=channels, strategy=strategy,
                 precision=job.precision, config=config,
-                alu_operations=2 * execution.total_elements)
+                alu_operations=execution.alu_operations)
 
         extras["_attrib"] = cache.get_or_compute(
-            "attrib", cache.key("spmv-attrib", schedule_key,
-                                ATTRIB_VERSION), compute_attrib)
-    return report, extras
-
-
-def _spmm_pipeline(job: SweepJob, cache: ArtifactCache,
-                   ) -> Tuple[Optional[PerfReport], Dict[str, Any]]:
-    """The SpMM pipeline: the SpMV plan, widened to ``rhs`` columns.
-
-    The plan/assignment stage shares the ``spmv-plan`` cache entries
-    (the layout is identical, so an SpMV sweep warms an SpMM sweep and
-    vice versa); only the trace/schedule/attrib stages key on the
-    right-hand-side width.
-    """
-    matrix = job.load_matrix()
-    config = job.system()
-    params = TraceParams()
-    mkey = matrix_digest(matrix)
-    channels = resolve_channels(job.channels)
-    strategy = resolve_strategy(job.strategy)
-    num_rhs = resolve_rhs(job.rhs)
-
-    plan_key = cache.key("spmv-plan", mkey, config, job.precision,
-                         job.compress, job.policy, channels, strategy)
-    plan, assignment = cache.get_or_compute(
-        "plan", plan_key,
-        lambda: plan_spmv(matrix, config, precision=job.precision,
-                          compress=job.compress, policy=job.policy,
-                          matrix_format=job.matrix_format,
-                          validate=False, channels=channels,
-                          strategy=strategy, tuner_cache=cache)[:2])
-    _, _, execution = plan_spmv(matrix, config, precision=job.precision,
-                                compress=job.compress, policy=job.policy,
-                                matrix_format=job.matrix_format,
-                                plan=plan, assignment=assignment,
-                                validate=False, channels=channels)
-    execution = as_spmm_execution(execution, num_rhs)
-
-    trace_key = cache.key("spmm-trace", execution, config, params,
-                          job.mode, num_rhs)
-    schedule_key = cache.key("spmm-schedule", trace_key, job.with_energy)
-
-    def compute_report() -> PerfReport:
-        if execution.num_channels is not None:
-            def synthesise(execution, config, params):
-                return spmm_channels_trace(execution, config, params,
-                                           mode=job.mode)
-        else:
-            synthesise = (spmm_ab_trace if job.mode == "ab"
-                          else spmm_pb_trace)
-        trace = cache.get_or_compute(
-            "trace", trace_key,
-            lambda: synthesise(execution, config, params))
-        return price_trace(
-            trace, config, with_energy=job.with_energy,
-            alu_operations=2 * execution.total_elements * num_rhs,
-            precision=job.precision, channels=execution.num_channels)
-
-    report = cache.get_or_compute("schedule", schedule_key, compute_report)
-    extras = {
-        "rows": matrix.shape[0],
-        "cols": matrix.shape[1],
-        "nnz": matrix.nnz,
-        "tiles": len(plan.tiles),
-        "rounds": execution.num_rounds,
-        "banks_used": execution.banks_used,
-        "imbalance": execution.imbalance,
-        "rhs": num_rhs,
-        "cycles_per_rhs": report.cycles / num_rhs,
-    }
-    if channels is not None:
-        extras["channels"] = channels
-    if strategy != "paper":
-        extras["strategy"] = strategy
-    if resolve_attrib(job.attrib):
-        from ..obs.attrib import ATTRIB_VERSION, attribute_spmm
-        from ..obs.report import build_run_report
-
-        def compute_attrib():
-            attribution, perf = attribute_spmm(
-                execution, config, mode=job.mode,
-                with_energy=job.with_energy)
-            return build_run_report(
-                attribution, perf, label=job.resolved_label(),
-                kind="spmm", matrix=job.matrix, mode=job.mode,
-                channels=channels, strategy=strategy,
-                precision=job.precision, config=config,
-                alu_operations=2 * execution.total_elements * num_rhs)
-
-        extras["_attrib"] = cache.get_or_compute(
-            "attrib", cache.key("spmm-attrib", schedule_key,
+            "attrib", cache.key(f"{job.kernel}-attrib", schedule_key,
                                 ATTRIB_VERSION), compute_attrib)
     return report, extras
 
@@ -376,15 +294,11 @@ def _sptrsv_pipeline(job: SweepJob, cache: ArtifactCache,
     schedule_key = cache.key("sptrsv-schedule", trace_key, job.with_energy)
 
     def compute_report() -> PerfReport:
-        if execution.num_channels is not None:
-            def synthesise():
-                return sptrsv_channels_trace(execution, config, params)
-        else:
-            def synthesise():
-                return sptrsv_ab_trace(execution, config, params)
-        trace = cache.get_or_compute("trace", trace_key, synthesise)
+        trace = cache.get_or_compute(
+            "trace", trace_key,
+            lambda: synthesise(execution, config, params).trace)
         return price_trace(trace, config, with_energy=job.with_energy,
-                           alu_operations=2 * execution.total_elements,
+                           alu_operations=execution.alu_operations,
                            precision=job.precision,
                            channels=execution.num_channels)
 
@@ -412,7 +326,7 @@ def _sptrsv_pipeline(job: SweepJob, cache: ArtifactCache,
                 kind="sptrsv", matrix=job.matrix,
                 channels=channels, strategy=strategy,
                 precision=job.precision, config=config,
-                alu_operations=2 * execution.total_elements)
+                alu_operations=execution.alu_operations)
 
         extras["_attrib"] = cache.get_or_compute(
             "attrib", cache.key("sptrsv-attrib", schedule_key,
@@ -471,7 +385,7 @@ def _fuzz_pipeline(job: SweepJob, cache: ArtifactCache,
 
 _PIPELINES = {
     "spmv": _spmv_pipeline,
-    "spmm": _spmm_pipeline,
+    "spmm": _spmv_pipeline,
     "sptrsv": _sptrsv_pipeline,
     "suite": _suite_pipeline,
     "fuzz": _fuzz_pipeline,

@@ -20,7 +20,7 @@ import pytest
 from repro.check import check_trace
 from repro.config import (CHANNELS_ENV, default_system, resolve_channels)
 from repro.core import (distribute, ildu, partition, plan_spmv, run_spmv,
-                        run_sptrsv, shard_channels, spmv_ab_trace,
+                        run_sptrsv, shard_channels, synthesise,
                         spmv_channels_trace, sptrsv_channels_trace,
                         time_spmv, time_sptrsv, ChannelAssignment,
                         TraceParams)
@@ -156,7 +156,7 @@ class TestSingleChannelBitwise:
                               legacy.per_bank_elements())
         sharded_trace = spmv_channels_trace(execution, CONFIG,
                                             TraceParams())
-        legacy_trace = spmv_ab_trace(sub, CONFIG, TraceParams())
+        legacy_trace = synthesise(sub, CONFIG, TraceParams()).trace
         assert sharded_trace == legacy_trace
         controller = MemoryController(timing=TimingParams())
         assert (controller.run(sharded_trace).total_cycles
@@ -440,10 +440,9 @@ class TestRepresentativeChannelLoads:
             == [float(v) for v in loads[12:16]]
 
     def test_pb_trace_arms_at_most_width_banks(self):
-        from repro.core import spmv_pb_trace
         loads = np.arange(1, 25, dtype=np.int64)
         execution = self._execution(loads, bpc=8)
-        trace = spmv_pb_trace(execution, CONFIG)
+        trace = synthesise(execution, CONFIG, mode="pb").trace
         kernel_banks = {entry.bank for entry in trace
                         if entry.bank is not None}
         assert kernel_banks and max(kernel_banks) < 8

@@ -13,7 +13,7 @@ import pytest
 from repro.check import ProtocolChecker, check_timed, check_trace, summarize
 from repro.config import default_system
 from repro.core import (dense_stream_trace, run_spmv, run_sptrsv,
-                        spmv_ab_trace, spmv_pb_trace, sptrsv_ab_trace)
+                        synthesise)
 from repro.dram import (Command, CommandRun, CommandType, MemoryController,
                         TimingParams, expand_trace)
 from repro.errors import CheckError
@@ -56,21 +56,21 @@ class TestSchedulerConformance:
     """Every trace family the repo generates is protocol-clean."""
 
     def test_spmv_ab_trace(self, spmv_execution):
-        _assert_clean(spmv_ab_trace(spmv_execution, CFG))
+        _assert_clean(synthesise(spmv_execution, CFG).trace)
 
     def test_spmv_ab_trace_expanded(self, spmv_execution):
-        trace = spmv_ab_trace(spmv_execution, CFG)
+        trace = synthesise(spmv_execution, CFG).trace
         _assert_clean(list(expand_trace(trace)))
 
     def test_spmv_pb_trace(self, spmv_execution):
-        _assert_clean(spmv_pb_trace(spmv_execution, CFG))
+        _assert_clean(synthesise(spmv_execution, CFG, mode="pb").trace)
 
     def test_sptrsv_trace(self):
         low = unit_lower_from(uniform_random(300, 300, 0.02, seed=2),
                               seed=3)
         b = np.random.default_rng(2).random(300)
         execution = run_sptrsv(low, b, CFG).execution
-        _assert_clean(sptrsv_ab_trace(execution, CFG))
+        _assert_clean(synthesise(execution, CFG).trace)
 
     @pytest.mark.parametrize("all_bank", [True, False])
     def test_dense_stream_trace(self, all_bank):

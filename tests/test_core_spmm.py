@@ -13,9 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import default_system
-from repro.core import (plan_spmm, run_spmm, run_spmv, spmm_ab_trace,
-                        spmm_pb_trace, spmv_ab_trace, spmv_pb_trace,
-                        time_spmm, time_spmv)
+from repro.core import (plan_spmm, run_spmm, run_spmv, synthesise,
+                        time_spmv)
 from repro.core.spmm import SpmmExecution, as_spmm_execution
 from repro.errors import ConfigError, ExecutionError
 from repro.formats import generate
@@ -190,25 +189,22 @@ class TestOneRhsBitwiseSpmv:
         assert a.lockstep_elements == b.lockstep_elements
 
     def test_traces_bitwise(self):
-        for spmm_synth, spmv_synth in ((spmm_ab_trace, spmv_ab_trace),
-                                       (spmm_pb_trace, spmv_pb_trace)):
-            a = spmm_synth(self.spmm.execution, CFG)
-            b = spmv_synth(self.spmv.execution, CFG)
+        for mode in ("ab", "pb"):
+            a = synthesise(self.spmm.execution, CFG, mode=mode)
+            b = synthesise(self.spmv.execution, CFG, mode=mode)
             assert a == b
 
     def test_cycles_bitwise(self):
         for mode in ("ab", "pb"):
-            a = time_spmm(self.spmm.execution, CFG, mode=mode)
+            a = time_spmv(self.spmm.execution, CFG, mode=mode)
             b = time_spmv(self.spmv.execution, CFG, mode=mode)
             assert a.cycles == b.cycles
             assert a.tag_cycles == b.tag_cycles
 
     def test_channel_sharded_traces_bitwise(self):
-        from repro.core import spmm_channels_trace, spmv_channels_trace
         a = run_spmm(self.m, self.x, CFG, channels=4).execution
         b = run_spmv(self.m, self.x, CFG, channels=4).execution
-        assert (spmm_channels_trace(a, CFG)
-                == spmv_channels_trace(b, CFG))
+        assert synthesise(a, CFG) == synthesise(b, CFG)
 
 
 class TestAmortisation:
@@ -221,7 +217,7 @@ class TestAmortisation:
             result = run_spmm(m, x, CFG, plan=plan,
                               assignment=assignment)
             plan, assignment = result.plan, result.assignment
-            report = time_spmm(result.execution, CFG)
+            report = time_spmv(result.execution, CFG)
             per_rhs.append(report.cycles / k)
         assert all(a > b for a, b in zip(per_rhs, per_rhs[1:])), per_rhs
 
@@ -231,7 +227,7 @@ class TestAmortisation:
         for k in (1, 8):
             x = np.random.default_rng(15).random((200, k))
             ex = run_spmm(m, x, CFG).execution
-            cycles[k] = time_spmm(ex, CFG, mode="pb").cycles
+            cycles[k] = time_spmv(ex, CFG, mode="pb").cycles
         assert cycles[8] / 8 < cycles[1]
 
     def test_wider_block_never_cheaper_total(self):
@@ -239,8 +235,8 @@ class TestAmortisation:
         ex1 = as_spmm_execution(
             run_spmv(m, RNG.random(150), CFG).execution, 1)
         ex4 = as_spmm_execution(ex1, 4)
-        assert (time_spmm(ex4, CFG).cycles
-                > time_spmm(ex1, CFG).cycles)
+        assert (time_spmv(ex4, CFG).cycles
+                > time_spmv(ex1, CFG).cycles)
 
 
 class TestPlanAndRecord:

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from repro.config import default_system
-from repro.core import (TraceParams, run_spmv, run_sptrsv, spmv_ab_trace,
-                        spmv_pb_trace, sptrsv_ab_trace, time_dense_kernel,
+from repro.core import (TraceParams, plan_spmv, run_spmv, run_sptrsv,
+                        spmv_channels_trace, synthesise, time_dense_kernel,
                         time_spmv, time_sptrsv, ildu)
 from repro.dram import CommandType
 from repro.errors import ExecutionError
 from repro.formats import generate
 from repro.formats.generators import uniform_random, unit_lower_from
+from repro.obs import attribute_spmv
+from repro.sweep import SweepJob, run_sweep
 
 CFG = default_system()
 RNG = np.random.default_rng(0)
@@ -38,14 +40,14 @@ class TestSpmvTraces:
         assert report.seconds == pytest.approx(report.cycles * 1e-9)
 
     def test_ab_uses_broadcast_commands(self, spmv_execution):
-        trace = spmv_ab_trace(spmv_execution, CFG)
+        trace = synthesise(spmv_execution, CFG).trace
         kinds = {c.kind for c in trace}
         assert CommandType.RD_AB in kinds
         assert CommandType.ACT_AB in kinds
         assert CommandType.MODE in kinds
 
     def test_pb_uses_single_bank_kernel_commands(self, spmv_execution):
-        trace = spmv_pb_trace(spmv_execution, CFG)
+        trace = synthesise(spmv_execution, CFG, mode="pb").trace
         kinds = {c.kind for c in trace}
         assert CommandType.RD in kinds
         assert CommandType.RD_AB not in kinds
@@ -93,16 +95,43 @@ class TestSpmvTraces:
         assert time_spmv(on, CFG).cycles < time_spmv(off, CFG).cycles
 
 
+#: Every pricing entry point, fed an invalid PIM mode.
+BOGUS_MODE_ENTRIES = {
+    "time_spmv": lambda ex, ex16, d: time_spmv(ex, CFG, mode="bogus"),
+    "attribute_spmv": lambda ex, ex16, d: attribute_spmv(ex, CFG,
+                                                         mode="bogus"),
+    "spmv_channels_trace": lambda ex, ex16, d: spmv_channels_trace(
+        ex16, CFG, mode="bogus"),
+    "run_sweep": lambda ex, ex16, d: run_sweep(
+        [SweepJob(kernel="spmv", matrix="cant", scale=0.02,
+                  mode="bogus")], workers=1, cache_dir=d).raise_failures(),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BOGUS_MODE_ENTRIES))
+def test_unknown_mode_rejected_by_every_entry_point(entry, tmp_path):
+    """An invalid mode raises; it is never priced as per-bank."""
+    matrix = generate("cant", scale=0.02)
+    ex = plan_spmv(matrix, CFG, validate=False)[2]
+    ex16 = plan_spmv(matrix, CFG, validate=False, channels=16)[2]
+    with pytest.raises(ExecutionError, match="unknown PIM mode 'bogus'"):
+        BOGUS_MODE_ENTRIES[entry](ex, ex16, tmp_path)
+
+
 class TestSpTrsvTraces:
     def test_schedulable(self, sptrsv_execution):
         report = time_sptrsv(sptrsv_execution, CFG)
         assert report.cycles > 0
 
     def test_trace_contains_levels(self, sptrsv_execution):
-        trace = sptrsv_ab_trace(sptrsv_execution, CFG)
+        trace = synthesise(sptrsv_execution, CFG).trace
         modes = sum(1 for c in trace if c.kind is CommandType.MODE)
         # three switches per level plus the update SpMVs' switches
         assert modes >= 3 * sptrsv_execution.num_levels
+
+    def test_per_bank_mode_rejected(self, sptrsv_execution):
+        with pytest.raises(ExecutionError, match="all-bank"):
+            synthesise(sptrsv_execution, CFG, mode="pb")
 
     def test_more_levels_cost_more(self):
         b = RNG.random(300)

@@ -11,8 +11,7 @@ import pytest
 
 from repro.config import default_system
 from repro.core import (dense_stream_trace, price_trace, run_spmv,
-                        run_sptrsv, spmv_ab_trace, spmv_pb_trace,
-                        sptrsv_ab_trace)
+                        run_sptrsv, synthesise)
 from repro.dram import (Command, CommandRun, CommandType, MemoryController,
                         TimingParams, as_run, count_commands, expand_trace)
 from repro.formats import generate
@@ -167,19 +166,19 @@ class TestKernelTraceRuns:
         return run_spmv(m, x, CFG).execution
 
     def test_spmv_ab_trace(self, spmv_execution):
-        trace = spmv_ab_trace(spmv_execution, CFG)
+        trace = synthesise(spmv_execution, CFG).trace
         assert any(isinstance(e, CommandRun) for e in trace)
         _schedules_match(trace)
 
     def test_spmv_pb_trace(self, spmv_execution):
-        _schedules_match(spmv_pb_trace(spmv_execution, CFG))
+        _schedules_match(synthesise(spmv_execution, CFG, mode="pb").trace)
 
     def test_sptrsv_trace(self):
         low = unit_lower_from(uniform_random(300, 300, 0.02, seed=2),
                               seed=3)
         b = np.random.default_rng(2).random(300)
         execution = run_sptrsv(low, b, CFG).execution
-        _schedules_match(sptrsv_ab_trace(execution, CFG))
+        _schedules_match(synthesise(execution, CFG).trace)
 
     @pytest.mark.parametrize("all_bank", [True, False])
     def test_dense_stream_trace(self, all_bank):
@@ -189,7 +188,7 @@ class TestKernelTraceRuns:
 
     def test_price_trace_host_columns_count_runs(self, spmv_execution):
         # Energy's external traffic must count a run's full beat count.
-        trace = spmv_ab_trace(spmv_execution, CFG)
+        trace = synthesise(spmv_execution, CFG).trace
         batched = price_trace(trace, CFG, with_energy=True)
         expanded = price_trace(list(expand_trace(trace)), CFG,
                                with_energy=True)

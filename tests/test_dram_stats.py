@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import default_system
-from repro.core import run_spmv, spmv_ab_trace
+from repro.core import run_spmv, synthesise
 from repro.dram import Command, CommandType, MemoryController
 from repro.formats import generate
 
@@ -56,6 +56,6 @@ class TestScheduleStats:
         matrix = generate("cant", scale=0.03)
         x = np.random.default_rng(0).random(matrix.shape[1])
         execution = run_spmv(matrix, x, CFG).execution
-        result = _run(spmv_ab_trace(execution, CFG))
+        result = _run(synthesise(execution, CFG).trace)
         # phased schedule: several beats per row visit, far from thrash
         assert result.row_buffer_locality > 4.0

@@ -11,14 +11,14 @@ from repro.analysis.report import JobRecord, SweepResult
 from repro.config import (default_system, resolve_attrib, resolve_obs)
 from repro.core import plan_spmv, run_spmv
 from repro.core.sptrsv import ildu, run_sptrsv
-from repro.core.trace import spmv_ab_segments, spmv_ab_trace
+from repro.core.trace import synthesise
 from repro.dram import Command, CommandRun, CommandType, TimingParams
 from repro.dram.commands import expand_trace
 from repro.errors import ConfigError, ExecutionError
 from repro.formats import generate, matrices_for
 from repro.obs.attrib import (ATTRIB_VERSION, CATEGORIES,
-                              AttributionCollector, attribute_spmm,
-                              attribute_spmv, attribute_sptrsv,
+                              AttributionCollector, attribute_spmv,
+                              attribute_sptrsv,
                               attribute_trace, category_of,
                               critical_path, phase_cycles)
 from repro.obs.report import (RunReport, build_run_report, diff_reports,
@@ -118,7 +118,7 @@ def _spmm_attr(matrix, config, num_rhs, channels=None, mode="ab"):
     from repro.core.spmm import plan_spmm
     _, _, execution = plan_spmm(matrix, config, num_rhs=num_rhs,
                                 channels=channels)
-    return attribute_spmm(execution, config, mode=mode)
+    return attribute_spmv(execution, config, mode=mode)
 
 
 @pytest.mark.parametrize("num_rhs", [1, 4, 16])
@@ -151,24 +151,21 @@ def test_spmm_traces_pass_protocol_checker(channels, config):
     """Every widened trace still obeys the JEDEC rules the protocol
     checker re-derives from TimingParams."""
     from repro.check import check_trace, summarize
-    from repro.core import spmm_channels_trace
     matrix = generate("poisson3Da", scale=SCALE)
     from repro.core.spmm import plan_spmm
     _, _, execution = plan_spmm(matrix, config, num_rhs=4,
                                 channels=channels)
-    violations = check_trace(spmm_channels_trace(execution, config))
+    violations = check_trace(synthesise(execution, config).trace)
     assert not violations, summarize(violations)
 
 
 @pytest.mark.parametrize("mode", ["ab", "pb"])
 def test_spmm_single_channel_trace_passes_protocol(mode, config):
     from repro.check import check_trace, summarize
-    from repro.core import spmm_ab_trace, spmm_pb_trace
     from repro.core.spmm import plan_spmm
     matrix = generate("wiki-Vote", scale=SCALE)
     _, _, execution = plan_spmm(matrix, config, num_rhs=6)
-    synth = spmm_ab_trace if mode == "ab" else spmm_pb_trace
-    violations = check_trace(synth(execution, config))
+    violations = check_trace(synthesise(execution, config, mode=mode).trace)
     assert not violations, summarize(violations)
 
 
@@ -256,7 +253,7 @@ def test_run_length_and_expanded_attribute_identically(seed, config):
 def test_real_trace_run_length_equivalence(config):
     matrix = generate("wiki-Vote", scale=SCALE)
     _, _, execution = plan_spmv(matrix, config, validate=False)
-    trace = spmv_ab_trace(execution, config)
+    trace = synthesise(execution, config).trace
     att_runs, _ = attribute_trace(trace, config)
     att_flat, _ = attribute_trace(list(expand_trace(trace)), config)
     assert att_runs.lane_cycles == att_flat.lane_cycles
@@ -293,8 +290,7 @@ def test_collector_does_not_change_pricing(config):
 def test_segments_tile_the_trace(config):
     matrix = generate("cant", scale=SCALE)
     _, _, execution = plan_spmv(matrix, config, validate=False)
-    seg = spmv_ab_segments(execution, config)
-    assert seg.trace == spmv_ab_trace(execution, config)
+    seg = synthesise(execution, config)
     covered = sorted((s.start, s.end) for s in seg.segments)
     assert covered[0][0] == 0
     assert covered[-1][1] == len(seg.trace)

@@ -9,13 +9,16 @@ three-oracle fuzzer relies on from drifting silently.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from repro.check.reference import _fold
 from repro.errors import ExecutionError
 from repro.isa import BinaryOp
 from repro.pim import alu
+from repro.pim.lane_engine import _reduce_rows
 
 REDUCIBLE = [BinaryOp.ADD, BinaryOp.MUL, BinaryOp.MIN, BinaryOp.MAX,
              BinaryOp.LAND, BinaryOp.LOR]
@@ -41,6 +44,17 @@ class TestOverflow:
             result = alu.reduce_array(BinaryOp.MUL,
                                       np.array([1e200, 1e200]), 1.0)
         assert result == math.inf
+
+    @pytest.mark.parametrize("fold", [
+        lambda v: alu.reduce_array(BinaryOp.MUL, v, 1.0),
+        lambda v: _reduce_rows(BinaryOp.MUL, v[None, :], np.ones(1))[0],
+        lambda v: _fold(BinaryOp.MUL, v, 1.0),
+    ], ids=["scalar", "lane", "reference"])
+    def test_reduce_mul_overflow_is_silent_in_every_oracle(self, fold):
+        """Overflow to inf is modelled IEEE behaviour: no oracle warns."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fold(np.array([1e200, 1e200])) == math.inf
 
     def test_subnormal_underflow_to_zero(self):
         tiny = 5e-324   # smallest subnormal
